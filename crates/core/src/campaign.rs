@@ -97,11 +97,11 @@ pub struct CampaignConfig {
     /// utilisation (§3.2: full load is "impossible to achieve due to
     /// scheduling overheads").
     pub unavailable_fraction: f64,
-    /// Hardware failure injection, if enabled.
-    pub failures: Option<FailureConfig>,
-    /// Correlated, topology-aware fault injection (cabinet PSU trips, CDU
-    /// cooling-loop failures, switch failures, per-meter sensor faults).
-    /// Composes with — and is meant to replace — the flat `failures` model.
+    /// Fault injection: node failures, cabinet PSU trips, CDU cooling-loop
+    /// failures, switch failures and per-meter sensor faults, all from one
+    /// correlated, topology-aware schedule. `None` runs a fault-free
+    /// facility. Node MTBF and repair times are set through
+    /// [`DomainFaultConfig::node`].
     pub faults: Option<FaultInjectionConfig>,
     /// Record a per-job accounting trace (HPC-JEEP-style).
     pub record_trace: bool,
@@ -146,35 +146,19 @@ impl OperatingSchedule {
     }
 }
 
-/// Node hardware failure model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FailureConfig {
-    /// Mean time between failures of one node (hours). Fleet-level failure
-    /// arrivals are exponential with rate `nodes / mtbf`.
-    pub node_mtbf_hours: f64,
-    /// Time a failed node spends offline before returning to service.
-    pub repair: SimDuration,
-}
-
-impl Default for FailureConfig {
-    fn default() -> Self {
-        FailureConfig {
-            // ~6 months per node: a 5,860-node fleet sees ~1.3 failures/hour.
-            node_mtbf_hours: 4_380.0,
-            repair: SimDuration::from_hours(24),
-        }
-    }
-}
-
-/// Correlated, topology-aware fault injection (the successor to the flat
-/// [`FailureConfig`] model): a deterministic schedule of node, cabinet-PSU,
-/// CDU-loop and switch failures generated up front from the seed, plus
-/// optional sensor-fault models on the per-cabinet power meters.
+/// Correlated, topology-aware fault injection — the campaign's only
+/// failure model: a deterministic schedule of node, cabinet-PSU, CDU-loop
+/// and switch failures generated up front from the seed, plus optional
+/// sensor-fault models on the per-cabinet power meters. A node-only model
+/// (every other [`DomainFaultConfig`] class at [`hpc_faults::DomainRate::OFF`])
+/// gives independent node failures; `repair_sigma: 0.0` makes every repair
+/// take exactly `repair_mean_hours`.
 ///
 /// The schedule covers `[start, start + horizon)`; a campaign run past the
 /// horizon sees no further injected faults. Meter faults only apply when
 /// [`CampaignConfig::per_cabinet_telemetry`] is set (they model the cabinet
-/// meters, and there is nothing to distort otherwise).
+/// meters, and there is nothing to distort otherwise). Campaigns with meter
+/// faults checkpoint and resume like any other.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultInjectionConfig {
     /// Per-domain-class failure and repair rates.
@@ -220,7 +204,6 @@ impl Default for CampaignConfig {
             policy: FrequencyPolicy::default(),
             telemetry_noise: 0.01,
             unavailable_fraction: 0.05,
-            failures: None,
             faults: None,
             record_trace: false,
             schedule: None,
@@ -245,9 +228,10 @@ pub struct TelemetryStats {
 }
 
 /// `campaign.json` sidecar written next to the snapshot by
-/// [`Campaign::checkpoint`]: the handful of facts needed to rebuild the
-/// dense telemetry views and restart the clock, which the tsdb snapshot
-/// alone does not carry.
+/// [`Campaign::checkpoint`]: the campaign start instant, the sampling grid
+/// and the checkpoint clock, which the tsdb snapshot alone does not carry.
+/// The snapshot holds the only copy of the telemetry; resume checks the
+/// recovered facility series against this grid.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct CheckpointMeta {
     format_version: u32,
@@ -263,8 +247,6 @@ struct CheckpointMeta {
 /// place of the fresh-start defaults.
 struct ResumePieces {
     store: TsdbStore,
-    series: TimeSeries,
-    cabinet_series: Vec<TimeSeries>,
     /// Resume the clock here (the checkpoint instant).
     now: SimTime,
     /// First telemetry tick after the recovered history.
@@ -282,12 +264,8 @@ enum Event {
     Finish(JobId, u32),
     /// Top up the backlog and run a scheduling pass.
     Refill,
-    /// A node fails.
-    NodeFail,
     /// The dynamic operating schedule re-evaluates.
     PolicyTick,
-    /// A failed node returns to service.
-    NodeRepair(NodeId),
     /// The pre-generated correlated fault schedule fires event `i`.
     Fault(u32),
 }
@@ -410,7 +388,8 @@ struct FacilityWorld {
     runtime_violation_count: u64,
     /// Fleet-mean idle node power per BIOS mode (kW), computed lazily.
     idle_kw_cache: HashMap<hpc_power::DeterminismMode, f64>,
-    series: TimeSeries,
+    /// Campaign start: origin of the sampling grid and the meter clock.
+    start: SimTime,
     noise_rng: Xoshiro256StarStar,
     policy_rng: Xoshiro256StarStar,
     reverted_jobs: u64,
@@ -420,14 +399,13 @@ struct FacilityWorld {
     /// Effective operating point per running job (for trace records).
     job_op: HashMap<JobId, OperatingPoint>,
     trace: JobTrace,
-    cabinet_series: Vec<TimeSeries>,
-    /// Compressed telemetry store: the facility series always, per-cabinet
-    /// and per-node series when the matching config flags are set.
+    /// Compressed telemetry store — the campaign's only copy of its
+    /// telemetry: the facility series always, per-cabinet and per-node
+    /// series when the matching config flags are set.
     store: TsdbStore,
     facility_sid: SeriesId,
     cabinet_sids: Vec<SeriesId>,
     node_sids: Vec<SeriesId>,
-    failure_rng: Xoshiro256StarStar,
     node_failures: u64,
     jobs_killed: u64,
     telemetry: TelemetryStats,
@@ -715,7 +693,6 @@ impl FacilityWorld {
     /// Sample per-cabinet power in O(cabinets): each cabinet is priced from
     /// its incremental aggregate (busy power sum, busy/dark counts, live
     /// switch count) — no per-node rescan, no per-tick model construction.
-    /// Recorded both in the dense compat series and the compressed store.
     fn sample_cabinets(&mut self, ts: i64) {
         debug_assert!(
             self.audit_power_accounting().is_empty(),
@@ -728,7 +705,7 @@ impl FacilityWorld {
         let sw_w = self.facility.switch_model().power_w(0.7 * util);
         let overhead = self.facility.overhead_model();
 
-        let mut samples = Vec::with_capacity(self.cabinet_series.len());
+        let mut samples = Vec::with_capacity(self.cabinet_sids.len());
         for (c, agg) in self.cabinet_agg.iter().enumerate() {
             let idle_nodes = self.cabinet_node_count[c] - agg.busy - agg.dark;
             // Like the fleet counter, the incremental cabinet sum can drift
@@ -738,19 +715,10 @@ impl FacilityWorld {
             let it_w = nodes_w + switches_w;
             samples.push((it_w + overhead.power_w(it_w)) / 1000.0);
         }
-        // The dense cabinet views always record the ground-truth physics;
-        // the store path goes through the meter fault models (if any) and
-        // the ingest sanitiser, so the stored series is what an operator
-        // would actually see.
-        let start_unix = self.series.start().as_unix();
-        for (i, ((series, &sid), kw)) in self
-            .cabinet_series
-            .iter_mut()
-            .zip(&self.cabinet_sids)
-            .zip(samples)
-            .enumerate()
-        {
-            series.push(kw);
+        // Samples go through the meter fault models (if any) and the ingest
+        // sanitiser, so the stored series is what an operator would see.
+        let start_unix = self.start.as_unix();
+        for (i, (&sid, kw)) in self.cabinet_sids.iter().zip(samples).enumerate() {
             match self.meters.as_mut() {
                 Some(mr) => {
                     let rel_s = (ts as u64).saturating_sub(start_unix);
@@ -794,16 +762,6 @@ impl FacilityWorld {
         }
         self.telemetry.samples_rejected += self.store.append_tick(ts, &batch);
         self.node_sample_buf = batch;
-    }
-
-    /// Draw the next fleet-level failure arrival.
-    fn schedule_fail(&mut self, sched: &mut EventScheduler<'_, Event>) {
-        if let Some(cfg) = self.config.failures {
-            let rate_per_hour = self.schedulable_nodes as f64 / cfg.node_mtbf_hours;
-            let gap_h = -(1.0 - self.failure_rng.next_f64()).ln() / rate_per_hour;
-            let gap_s = (gap_h * 3600.0).max(1.0) as u64;
-            sched.after(SimDuration::from_secs(gap_s), Event::NodeFail);
-        }
     }
 
     /// Top the backlog up to the target.
@@ -1012,7 +970,6 @@ impl World for FacilityWorld {
                 let noise = 1.0 + self.config.telemetry_noise * standard_normal(&mut self.noise_rng);
                 let sampled = kw * noise.max(0.0);
                 let ts = now.as_unix() as i64;
-                self.series.push(sampled);
                 if self.store.try_append_batch(self.facility_sid, &[(ts, sampled)]).is_err() {
                     self.telemetry.samples_rejected += 1;
                 }
@@ -1079,40 +1036,6 @@ impl World for FacilityWorld {
                 self.refill(now);
                 self.schedule_pass(now, sched);
             }
-            Event::NodeFail => {
-                let Some(cfg) = self.config.failures else {
-                    return;
-                };
-                // Uniform victim across the schedulable fleet.
-                let victim = NodeId(self.failure_rng.next_below(self.schedulable_nodes as u64) as u32);
-                if self.scheduler.is_node_offline(victim) {
-                    // Already down for repair; no new repair must be queued.
-                    self.schedule_fail(sched);
-                    return;
-                }
-                self.node_failures += 1;
-                if let Some(killed) = self.fail_node_tracked(victim, now) {
-                    // Remove the dead job's power; it restarts from scratch
-                    // when the scheduler re-places it (no checkpointing).
-                    self.kill_job_accounting(killed);
-                }
-                sched.after(cfg.repair, Event::NodeRepair(victim));
-                self.schedule_fail(sched);
-                self.schedule_pass(now, sched);
-            }
-            Event::NodeRepair(node) => {
-                // A correlated fault may still hold this node down; if so
-                // its own Up event will bring it back instead.
-                let held_down = self
-                    .faults
-                    .as_ref()
-                    .map(|fr| fr.node_down[node.index()] > 0)
-                    .unwrap_or(false);
-                if !held_down && self.scheduler.repair_node(node, now) {
-                    self.set_node(node, NodeState::Idle, 0.0);
-                }
-                self.schedule_pass(now, sched);
-            }
             Event::Fault(i) => {
                 let Some(mut fr) = self.faults.take() else {
                     return;
@@ -1177,16 +1100,9 @@ impl Campaign {
             (facility.nodes() as f64 * config.unavailable_fraction).round() as u32;
         let schedulable_nodes = facility.nodes() - unavailable;
         let scheduler = BatchScheduler::new(schedulable_nodes);
-        let (store, series, recovered_cabinets, now, next_sample, wal_replay) = match resume {
-            Some(p) => (p.store, p.series, Some(p.cabinet_series), p.now, p.next_sample, p.wal_replay),
-            None => (
-                TsdbStore::default(),
-                TimeSeries::new(start, config.sample_interval, "kW"),
-                None,
-                start,
-                start,
-                None,
-            ),
+        let (store, now, next_sample, wal_replay) = match resume {
+            Some(p) => (p.store, p.now, p.next_sample, p.wal_replay),
+            None => (TsdbStore::default(), start, start, None),
         };
         let interval_hint = config.sample_interval.as_secs() as i64;
         let smeta = |name: String| SeriesMeta { name, unit: "kW".into(), interval_hint };
@@ -1289,7 +1205,7 @@ impl Campaign {
             node_sample_buf: Vec::new(),
             runtime_violations: Vec::new(),
             runtime_violation_count: 0,
-            series,
+            start,
             idle_kw_cache: HashMap::new(),
             noise_rng: root.substream(1),
             policy_rng: root.substream(2),
@@ -1298,12 +1214,10 @@ impl Campaign {
             job_epoch: HashMap::new(),
             job_op: HashMap::new(),
             trace: JobTrace::new(),
-            cabinet_series: Vec::new(),
             store,
             facility_sid,
             cabinet_sids,
             node_sids,
-            failure_rng: root.substream(3),
             node_failures: 0,
             jobs_killed: 0,
             telemetry: TelemetryStats { samples_rejected: 0, wal_replay },
@@ -1312,19 +1226,6 @@ impl Campaign {
             config,
             facility,
         };
-        let mut world = world;
-        if let Some(cabinets) = recovered_cabinets {
-            world.cabinet_series = cabinets;
-        } else if world.config.per_cabinet_telemetry {
-            let n = world.facility.topology().config().cabinets as usize;
-            // Compact (mirror-free) views: at cabinet/node scale the dense
-            // mirror would cost 8 B/sample per series and erase the
-            // compression win; readbacks go through the tsdb store instead.
-            world.cabinet_series = (0..n)
-                .map(|_| TimeSeries::new_compact(start, world.config.sample_interval, "kW"))
-                .collect();
-        }
-        let failures_enabled = world.config.failures.is_some();
         // Arm the whole fault timeline up front. On a resumed campaign only
         // the future half replays: refcount transitions tolerate the
         // unmatched `Up` events of faults that opened before the checkpoint.
@@ -1347,9 +1248,6 @@ impl Campaign {
         for (i, t) in fault_events {
             sim.schedule(t, Event::Fault(i));
         }
-        if failures_enabled {
-            sim.schedule(now + SimDuration::from_secs(1), Event::NodeFail);
-        }
         if sim.world().config.schedule.is_some() {
             sim.schedule(now, Event::PolicyTick);
         }
@@ -1370,10 +1268,10 @@ impl Campaign {
         let stats = w.store.snapshot_to_path(&dir.join("store.tsnap"))?;
         let meta = CheckpointMeta {
             format_version: 1,
-            start_unix: w.series.start().as_unix(),
+            start_unix: w.start.as_unix(),
             interval_s: w.config.sample_interval.as_secs(),
             checkpoint_unix: self.sim.now().as_unix(),
-            samples: w.series.len() as u64,
+            samples: w.store.with_series(w.facility_sid, |s| s.len()).unwrap_or(0),
             per_cabinet_telemetry: w.config.per_cabinet_telemetry,
             per_node_telemetry: w.config.per_node_telemetry,
         };
@@ -1391,7 +1289,10 @@ impl Campaign {
     /// [`hpc_tsdb::TsdbStore::pipeline_with_wal`]) on top; the replay
     /// outcome lands in [`Self::telemetry_stats`]. `config` must describe
     /// the same sampling grid and telemetry series set the checkpoint was
-    /// taken with, or this returns [`PersistError::Malformed`].
+    /// taken with, and the recovered facility series must sit on that grid
+    /// with no gaps, or this returns [`PersistError::Malformed`]. Cabinet
+    /// and node series are taken as stored, so checkpoints of campaigns
+    /// with meter faults (skewed clocks, quarantine gaps) resume too.
     pub fn resume(
         facility: Archer2Facility,
         config: CampaignConfig,
@@ -1428,14 +1329,10 @@ impl Campaign {
             StoreConfig::default(),
         )?;
         let start = SimTime::from_unix(meta.start_unix);
-        let interval = config.sample_interval;
-        let scan = |name: &str| -> Result<Vec<(i64, f64)>, PersistError> {
-            let id = store
-                .lookup(name)
-                .ok_or_else(|| PersistError::Malformed(format!("checkpoint has no series {name:?}")))?;
-            Ok(store.with_series(id, |s| s.scan(i64::MIN, i64::MAX)).expect("registered series"))
-        };
-        let samples = scan("facility")?;
+        let samples = store
+            .lookup("facility")
+            .and_then(|id| store.with_series(id, |s| s.scan(i64::MIN, i64::MAX)))
+            .ok_or_else(|| PersistError::Malformed("checkpoint has no facility series".into()))?;
         if (samples.len() as u64) < meta.samples {
             return Err(PersistError::Malformed(format!(
                 "recovered facility series has {} samples, checkpoint recorded {}",
@@ -1443,29 +1340,20 @@ impl Campaign {
                 meta.samples
             )));
         }
-        let series = TimeSeries::from_tsdb_samples(start, interval, "kW", &samples, true)
+        // A checkpoint is outside input: the recovered facility history
+        // must sit on the campaign's sampling grid, or sampling could not
+        // continue on it. Cabinet and node series carry what the meters
+        // reported (gaps, skewed clocks) and are taken as they are.
+        TimeSeries::from_tsdb_samples(start, config.sample_interval, "kW", &samples)
             .map_err(PersistError::Malformed)?;
-        let mut cabinet_series = Vec::new();
-        if config.per_cabinet_telemetry {
-            let n = facility.topology().config().cabinets;
-            for c in 0..n {
-                let cab = scan(&format!("cabinet.{c}"))?;
-                cabinet_series.push(
-                    TimeSeries::from_tsdb_samples(start, interval, "kW", &cab, false)
-                        .map_err(PersistError::Malformed)?,
-                );
-            }
-        }
         // Resume the clock at the checkpoint and keep sampling on the
         // original grid: the next tick follows the recovered history (WAL
         // replay may have extended it past `meta.samples`), clamped forward
         // so it is never scheduled in the past.
         let next_unix =
-            (meta.start_unix + series.len() as u64 * meta.interval_s).max(meta.checkpoint_unix);
+            (meta.start_unix + samples.len() as u64 * meta.interval_s).max(meta.checkpoint_unix);
         let pieces = ResumePieces {
             store,
-            series,
-            cabinet_series,
             now: SimTime::from_unix(meta.checkpoint_unix),
             next_sample: SimTime::from_unix(next_unix),
             wal_replay: report.wal,
@@ -1489,9 +1377,18 @@ impl Campaign {
         self.sim.world().op
     }
 
-    /// The compute-cabinet power telemetry recorded so far.
-    pub fn power_series(&self) -> &TimeSeries {
-        &self.sim.world().series
+    /// The compute-cabinet power telemetry recorded so far: the store's
+    /// `"facility"` series, decoded into an owned [`TimeSeries`] on every
+    /// call (the store holds the only copy). Bind the result once rather
+    /// than calling this inside a loop.
+    pub fn power_series(&self) -> TimeSeries {
+        let w = self.sim.world();
+        let samples = w
+            .store
+            .with_series(w.facility_sid, |s| s.scan(i64::MIN, i64::MAX))
+            .unwrap_or_default();
+        TimeSeries::from_tsdb_samples(w.start, w.config.sample_interval, "kW", &samples)
+            .expect("the facility series is sampled on the campaign grid (checked on resume)")
     }
 
     /// Mean utilisation since the start, measured against the whole fleet
@@ -1518,7 +1415,7 @@ impl Campaign {
         self.sim.events_processed()
     }
 
-    /// (node failures injected, jobs killed by failures) so far.
+    /// (nodes taken down by injected faults, jobs killed by them) so far.
     pub fn failure_counts(&self) -> (u64, u64) {
         let w = self.sim.world();
         (w.node_failures, w.jobs_killed)
@@ -1532,11 +1429,6 @@ impl Campaign {
     /// The job accounting trace (empty unless `record_trace` was set).
     pub fn trace(&self) -> &JobTrace {
         &self.sim.world().trace
-    }
-
-    /// Per-cabinet power series (empty unless `per_cabinet_telemetry`).
-    pub fn cabinet_series(&self) -> &[TimeSeries] {
-        &self.sim.world().cabinet_series
     }
 
     /// The compressed telemetry store. Always holds the `"facility"`
@@ -1788,6 +1680,20 @@ impl Campaign {
     }
 }
 
+/// Every fault domain class off: a schedule with no events. Test configs
+/// turn single classes back on with struct-update syntax.
+#[cfg(test)]
+fn quiet_domains() -> DomainFaultConfig {
+    use hpc_faults::DomainRate;
+    DomainFaultConfig {
+        node: DomainRate::OFF,
+        cabinet: DomainRate::OFF,
+        cdu: DomainRate::OFF,
+        switch: DomainRate::OFF,
+        ..DomainFaultConfig::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1911,83 +1817,9 @@ mod tests {
             let start = SimTime::from_ymd(2022, 1, 1);
             let mut c = Campaign::new(f, small_config(), start, OperatingPoint::ORIGINAL);
             c.run_until(start + SimDuration::from_days(3));
-            c.power_series().values().to_vec()
+            c.power_series().values()
         };
         assert_eq!(mk(), mk());
-    }
-}
-
-#[cfg(test)]
-mod failure_tests {
-    use super::*;
-    use crate::experiment::scaled_facility;
-
-    fn failing_config() -> CampaignConfig {
-        CampaignConfig {
-            failures: Some(FailureConfig {
-                node_mtbf_hours: 200.0, // aggressive: ~3 failures/hour at 1/10 scale
-                repair: SimDuration::from_hours(12),
-            }),
-            ..CampaignConfig::default()
-        }
-    }
-
-    #[test]
-    fn failures_occur_and_jobs_requeue() {
-        let f = scaled_facility(11, 10);
-        let start = SimTime::from_ymd(2022, 2, 1);
-        let mut c = Campaign::new(f, failing_config(), start, OperatingPoint::ORIGINAL);
-        c.run_until(start + SimDuration::from_days(7));
-        let (failures, killed) = c.failure_counts();
-        assert!(failures > 100, "expected many failures, got {failures}");
-        // At >90 % utilisation most victims are busy.
-        assert!(killed as f64 > failures as f64 * 0.5, "{killed} killed of {failures}");
-        assert!(c.offline_nodes() > 0, "some nodes should be in repair");
-    }
-
-    #[test]
-    fn facility_survives_failures_at_high_utilisation() {
-        let f = scaled_facility(12, 10);
-        let start = SimTime::from_ymd(2022, 2, 1);
-        let mut c = Campaign::new(f, failing_config(), start, OperatingPoint::ORIGINAL);
-        c.run_until(start + SimDuration::from_days(10));
-        // The backlog keeps the healthy fleet saturated despite the churn.
-        assert!(c.utilisation() > 0.85, "utilisation {}", c.utilisation());
-        // Power stays finite and positive throughout.
-        for &kw in c.power_series().values().iter() {
-            assert!(kw > 0.0 && kw.is_finite());
-        }
-    }
-
-    #[test]
-    fn failures_reduce_mean_power_slightly() {
-        // Offline nodes are powered down, so the failing campaign draws a
-        // little less than the healthy one.
-        let start = SimTime::from_ymd(2022, 2, 1);
-        let healthy = {
-            let f = scaled_facility(13, 10);
-            let mut c = Campaign::new(f, CampaignConfig::default(), start, OperatingPoint::ORIGINAL);
-            c.run_until(start + SimDuration::from_days(5));
-            c.power_series().mean()
-        };
-        let failing = {
-            let f = scaled_facility(13, 10);
-            let mut c = Campaign::new(f, failing_config(), start, OperatingPoint::ORIGINAL);
-            c.run_until(start + SimDuration::from_days(5));
-            c.power_series().mean()
-        };
-        assert!(failing < healthy, "failing {failing} vs healthy {healthy}");
-        assert!(failing > healthy * 0.9, "the dip should be modest");
-    }
-
-    #[test]
-    fn no_failure_config_means_no_failures() {
-        let f = scaled_facility(14, 10);
-        let start = SimTime::from_ymd(2022, 2, 1);
-        let mut c = Campaign::new(f, CampaignConfig::default(), start, OperatingPoint::ORIGINAL);
-        c.run_until(start + SimDuration::from_days(3));
-        assert_eq!(c.failure_counts(), (0, 0));
-        assert_eq!(c.offline_nodes(), 0);
     }
 }
 
@@ -2025,23 +1857,55 @@ mod fault_campaign_tests {
         }
     }
 
-    fn storm_config() -> CampaignConfig {
+    /// A campaign config with `domains` over a 14-day horizon, ideal meters.
+    fn with_faults(domains: DomainFaultConfig) -> CampaignConfig {
         CampaignConfig {
             faults: Some(FaultInjectionConfig {
-                domains: storm_domains(),
+                domains,
                 horizon: SimDuration::from_days(14),
-                meters: None,
-                sanitize: SanitizeConfig::default(),
+                ..FaultInjectionConfig::default()
             }),
             ..CampaignConfig::default()
         }
+    }
+
+    /// Independent node failures only, each repaired in exactly 12 h;
+    /// aggressive: ~3 failures/hour at 1/10 scale.
+    fn node_failures() -> DomainFaultConfig {
+        DomainFaultConfig {
+            node: DomainRate { mtbf_hours: 200.0, repair_mean_hours: 12.0, repair_sigma: 0.0 },
+            ..quiet_domains()
+        }
+    }
+
+    #[test]
+    fn node_failures_requeue_jobs_and_the_fleet_stays_busy() {
+        let f = scaled_facility(11, 10);
+        let start = SimTime::from_ymd(2022, 2, 1);
+        let mut c = Campaign::new(f, with_faults(node_failures()), start, OperatingPoint::ORIGINAL);
+        c.run_until(start + SimDuration::from_days(7));
+        let (failures, killed) = c.failure_counts();
+        assert!(failures > 100, "expected many failures, got {failures}");
+        // At >90 % utilisation most victims are busy.
+        assert!(killed as f64 > failures as f64 * 0.5, "{killed} killed of {failures}");
+        assert!(c.offline_nodes() > 0, "some nodes should be in repair");
+
+        c.run_until(start + SimDuration::from_days(10));
+        // The backlog keeps the healthy fleet saturated despite the churn.
+        assert!(c.utilisation() > 0.85, "utilisation {}", c.utilisation());
+        // Power stays finite and positive throughout.
+        for kw in c.power_series().values() {
+            assert!(kw > 0.0 && kw.is_finite());
+        }
+        let violations = c.verify_invariants();
+        assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn correlated_faults_fire_and_invariants_hold() {
         let f = scaled_facility(51, 10);
         let start = SimTime::from_ymd(2022, 3, 1);
-        let mut c = Campaign::new(f, storm_config(), start, OperatingPoint::ORIGINAL);
+        let mut c = Campaign::new(f, with_faults(storm_domains()), start, OperatingPoint::ORIGINAL);
         c.run_until(start + SimDuration::from_days(7));
 
         let health = c.health().expect("faults enabled");
@@ -2052,48 +1916,39 @@ mod fault_campaign_tests {
         let violations = c.verify_invariants();
         assert!(violations.is_empty(), "invariants violated: {violations:?}");
         // Power stays physical throughout the storm.
-        for &kw in c.power_series().values().iter() {
+        for kw in c.power_series().values() {
             assert!(kw > 0.0 && kw.is_finite());
         }
     }
 
     #[test]
-    fn cabinet_trip_visibly_dents_facility_power() {
-        // Only cabinet faults, at a rate where trips are common; the mean
-        // power of the faulted run must sit below the healthy run.
+    fn faults_visibly_dent_facility_power() {
+        // Dark nodes draw nothing, so a faulted run's mean power sits below
+        // the healthy run of the same seed — visibly, but modestly. Cases:
+        // cabinet trips at a rate where they are common, and independent
+        // node failures.
         let start = SimTime::from_ymd(2022, 3, 1);
-        let cfg = CampaignConfig {
-            faults: Some(FaultInjectionConfig {
-                domains: DomainFaultConfig {
-                    node: DomainRate::OFF,
-                    cabinet: DomainRate {
-                        mtbf_hours: 100.0,
-                        repair_mean_hours: 12.0,
-                        repair_sigma: 0.3,
-                    },
-                    cdu: DomainRate::OFF,
-                    switch: DomainRate::OFF,
-                    ..DomainFaultConfig::default()
-                },
-                horizon: SimDuration::from_days(14),
-                meters: None,
-                sanitize: SanitizeConfig::default(),
-            }),
-            ..CampaignConfig::default()
-        };
-        let run = |cfg: CampaignConfig| {
+        let run = |cfg: CampaignConfig, class: DomainClass| {
             let f = scaled_facility(52, 10);
             let mut c = Campaign::new(f, cfg, start, OperatingPoint::ORIGINAL);
             c.run_until(start + SimDuration::from_days(7));
-            (c.power_series().mean(), c.health().map(|h| h.class(DomainClass::Cabinet).failures()))
+            (c.power_series().mean(), c.health().map_or(0, |h| h.class(class).failures()))
         };
-        let (healthy_kw, _) = run(CampaignConfig::default());
-        let (faulted_kw, trips) = run(cfg);
-        assert!(trips.unwrap() > 0, "no cabinet trips in 7 days");
-        assert!(
-            faulted_kw < healthy_kw * 0.995,
-            "cabinet trips should dent power: {faulted_kw} vs {healthy_kw}"
-        );
+        let (healthy_kw, _) = run(CampaignConfig::default(), DomainClass::Node);
+        let cabinet_trips = DomainFaultConfig {
+            cabinet: DomainRate { mtbf_hours: 100.0, repair_mean_hours: 12.0, repair_sigma: 0.3 },
+            ..quiet_domains()
+        };
+        let cases = [(DomainClass::Cabinet, cabinet_trips), (DomainClass::Node, node_failures())];
+        for (class, domains) in cases {
+            let (faulted_kw, failures) = run(with_faults(domains), class);
+            assert!(failures > 0, "no {class:?} faults in 7 days");
+            assert!(
+                faulted_kw < healthy_kw * 0.995,
+                "{class:?} faults should dent power: {faulted_kw} vs {healthy_kw}"
+            );
+            assert!(faulted_kw > healthy_kw * 0.9, "{class:?}: the dip should be modest");
+        }
     }
 
     #[test]
@@ -2101,13 +1956,10 @@ mod fault_campaign_tests {
         let run = || {
             let f = scaled_facility(53, 10);
             let start = SimTime::from_ymd(2022, 3, 1);
-            let mut c = Campaign::new(f, storm_config(), start, OperatingPoint::ORIGINAL);
+            let cfg = with_faults(storm_domains());
+            let mut c = Campaign::new(f, cfg, start, OperatingPoint::ORIGINAL);
             c.run_until(start + SimDuration::from_days(5));
-            (
-                c.fault_schedule().unwrap().digest(),
-                c.power_series().values().to_vec(),
-                c.failure_counts(),
-            )
+            (c.fault_schedule().unwrap().digest(), c.power_series().values(), c.failure_counts())
         };
         let (d1, p1, f1) = run();
         let (d2, p2, f2) = run();
@@ -2121,25 +1973,22 @@ mod fault_campaign_tests {
     #[test]
     fn faults_off_is_bit_identical_to_the_legacy_path() {
         // Adding the fault machinery must not perturb existing campaigns:
-        // with `faults: None` no extra RNG draws or events occur.
+        // with `faults: None` no extra RNG draws or events occur, and no
+        // node ever fails.
         let run = |faults: Option<FaultInjectionConfig>| {
             let f = scaled_facility(54, 10);
             let start = SimTime::from_ymd(2022, 3, 1);
             let cfg = CampaignConfig { faults, ..CampaignConfig::default() };
             let mut c = Campaign::new(f, cfg, start, OperatingPoint::ORIGINAL);
             c.run_until(start + SimDuration::from_days(3));
-            c.power_series().values().to_vec()
+            assert_eq!(c.failure_counts(), (0, 0));
+            assert_eq!(c.offline_nodes(), 0);
+            c.power_series().values()
         };
         let base = run(None);
         // A schedule with every rate off generates zero events -> same run.
         let quiet = run(Some(FaultInjectionConfig {
-            domains: DomainFaultConfig {
-                node: DomainRate::OFF,
-                cabinet: DomainRate::OFF,
-                cdu: DomainRate::OFF,
-                switch: DomainRate::OFF,
-                ..DomainFaultConfig::default()
-            },
+            domains: quiet_domains(),
             ..FaultInjectionConfig::default()
         }));
         assert_eq!(base.len(), quiet.len());
@@ -2155,13 +2004,7 @@ mod fault_campaign_tests {
         let cfg = CampaignConfig {
             per_cabinet_telemetry: true,
             faults: Some(FaultInjectionConfig {
-                domains: DomainFaultConfig {
-                    node: DomainRate::OFF,
-                    cabinet: DomainRate::OFF,
-                    cdu: DomainRate::OFF,
-                    switch: DomainRate::OFF,
-                    ..DomainFaultConfig::default()
-                },
+                domains: quiet_domains(),
                 horizon: SimDuration::from_days(14),
                 // Aggressive meter faults: every class well-represented.
                 meters: Some(MeterFaultConfig {
@@ -2185,12 +2028,6 @@ mod fault_campaign_tests {
         assert!(stats.dropped > 0, "no dropouts in 7 days: {stats:?}");
         assert!(stats.sanitize.quarantined() > 0, "nothing quarantined: {stats:?}");
         assert!(stats.sanitize.stored > 0, "sanitiser stored nothing: {stats:?}");
-
-        // The dense (ground-truth) views are unaffected by meter faults.
-        let total_samples = c.power_series().len() as u64;
-        for s in c.cabinet_series() {
-            assert_eq!(s.len() as u64, total_samples);
-        }
 
         // Gap-aware readback: summed over cabinets, coverage is below 1
         // (samples went missing) and the mean stays physical.
@@ -2224,25 +2061,10 @@ mod fault_campaign_tests {
     fn switch_faults_drain_attached_nodes() {
         let f = scaled_facility(56, 10);
         let start = SimTime::from_ymd(2022, 3, 1);
-        let cfg = CampaignConfig {
-            faults: Some(FaultInjectionConfig {
-                domains: DomainFaultConfig {
-                    node: DomainRate::OFF,
-                    cabinet: DomainRate::OFF,
-                    cdu: DomainRate::OFF,
-                    switch: DomainRate {
-                        mtbf_hours: 500.0,
-                        repair_mean_hours: 6.0,
-                        repair_sigma: 0.4,
-                    },
-                    ..DomainFaultConfig::default()
-                },
-                horizon: SimDuration::from_days(14),
-                meters: None,
-                sanitize: SanitizeConfig::default(),
-            }),
-            ..CampaignConfig::default()
-        };
+        let cfg = with_faults(DomainFaultConfig {
+            switch: DomainRate { mtbf_hours: 500.0, repair_mean_hours: 6.0, repair_sigma: 0.4 },
+            ..quiet_domains()
+        });
         let mut c = Campaign::new(f, cfg, start, OperatingPoint::ORIGINAL);
         c.run_until(start + SimDuration::from_days(7));
         let health = c.health().unwrap();
@@ -2261,7 +2083,7 @@ mod fault_campaign_tests {
     fn health_monitor_availability_is_sane() {
         let f = scaled_facility(57, 10);
         let start = SimTime::from_ymd(2022, 3, 1);
-        let mut c = Campaign::new(f, storm_config(), start, OperatingPoint::ORIGINAL);
+        let mut c = Campaign::new(f, with_faults(storm_domains()), start, OperatingPoint::ORIGINAL);
         let days = 7u64;
         c.run_until(start + SimDuration::from_days(days));
         let health = c.health().unwrap();
@@ -2318,27 +2140,11 @@ mod telemetry_tests {
         let mut c = Campaign::new(f, instrumented_config(), start, OperatingPoint::AFTER_BIOS);
         c.run_until(start + SimDuration::from_days(2));
 
-        let cab = c.cabinet_series();
-        assert_eq!(cab.len(), cabinets);
-        // Cabinet views are compact: compressed chunks only, no dense mirror.
-        assert!(cab.iter().all(|s| !s.has_mirror()));
-        let total = c.power_series();
-        assert_eq!(cab[0].len(), total.len());
-        let cab_vals: Vec<Vec<f64>> = cab.iter().map(|s| s.values().into_owned()).collect();
-        for i in 0..total.len() {
-            let sum: f64 = cab_vals.iter().map(|v| v[i]).sum();
-            let facility = total.values()[i];
-            // The facility series carries ±1 % telemetry noise; the cabinet
-            // series are noiseless, so reconcile within 5 sigma.
-            assert!(
-                (sum - facility).abs() / facility < 0.05,
-                "sample {i}: cabinets {sum} vs facility {facility}"
-            );
-        }
-
         // The fan-out readback answers exactly what a sequential pass over
         // the store gives, and its cabinet sum reconciles with the facility
-        // window mean within the telemetry noise.
+        // window mean within the telemetry noise (sample by sample the
+        // reconciliation is `tests/tsdb_reconciliation.rs`).
+        let total = c.power_series();
         let (from, to) = (total.start(), total.end());
         let group = c.cabinets_window_kw(from, to);
         assert_eq!(group.series, cabinets);
@@ -2371,7 +2177,12 @@ mod telemetry_tests {
         let start = SimTime::from_ymd(2022, 6, 1);
         let mut c = Campaign::new(f, instrumented_config(), start, OperatingPoint::AFTER_BIOS);
         c.run_until(start + SimDuration::from_days(2));
-        let means: Vec<f64> = c.cabinet_series().iter().map(|s| s.mean()).collect();
+        let store = c.telemetry_store();
+        let means: Vec<f64> = c
+            .cabinet_series_ids()
+            .iter()
+            .map(|&sid| store.with_series(sid, |s| s.total_aggregate().mean()).unwrap())
+            .collect();
         // Nodes are spread in contiguous blocks, so per-cabinet means stay
         // within ~25 % of each other (the tail cabinet is smaller).
         let max = means.iter().cloned().fold(f64::MIN, f64::max);
@@ -2387,14 +2198,14 @@ mod telemetry_tests {
         let mut c = Campaign::new(f, CampaignConfig::default(), start, OperatingPoint::AFTER_BIOS);
         c.run_until(start + SimDuration::from_days(1));
         assert!(c.trace().is_empty());
-        assert!(c.cabinet_series().is_empty());
+        assert!(c.cabinet_series_ids().is_empty());
         // The store still carries the facility series, nothing else.
         assert_eq!(c.telemetry_store().series_count(), 1);
         assert!(c.node_series_ids().is_empty());
     }
 
     #[test]
-    fn store_mirrors_the_facility_series_exactly() {
+    fn power_series_decodes_the_stored_facility_series_exactly() {
         let f = scaled_facility(25, 10);
         let start = SimTime::from_ymd(2022, 6, 1);
         let mut c = Campaign::new(f, CampaignConfig::default(), start, OperatingPoint::AFTER_BIOS);
@@ -2403,11 +2214,12 @@ mod telemetry_tests {
             .telemetry_store()
             .with_series(c.facility_series_id(), |s| s.scan(i64::MIN, i64::MAX))
             .unwrap();
-        let dense = c.power_series();
-        assert_eq!(stored.len(), dense.len());
+        let series = c.power_series();
+        let values = series.values();
+        assert_eq!(stored.len(), values.len());
         for (i, &(ts, v)) in stored.iter().enumerate() {
-            assert_eq!(ts, dense.time_at(i).as_unix() as i64);
-            assert_eq!(v.to_bits(), dense.values()[i].to_bits());
+            assert_eq!(ts, series.time_at(i).as_unix() as i64);
+            assert_eq!(v.to_bits(), values[i].to_bits());
         }
     }
 
@@ -2482,45 +2294,63 @@ mod persistence_tests {
         }
     }
 
+    /// Every series in the campaign's store (facility, then cabinets),
+    /// sample for sample, with values as raw bits.
+    fn store_history(c: &Campaign) -> Vec<Vec<(i64, u64)>> {
+        let store = c.telemetry_store();
+        std::iter::once(&c.facility_series_id())
+            .chain(c.cabinet_series_ids())
+            .map(|&sid| {
+                let samples = store.with_series(sid, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
+                samples.into_iter().map(|(ts, v)| (ts, v.to_bits())).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn checkpoint_then_resume_is_bit_identical_on_history() {
-        let scratch = Scratch::new("roundtrip");
+        // Meter faults make the cabinet series hold what the meters
+        // reported — skewed clocks, quarantine gaps — so resume must take
+        // them as stored. `clean` meters still quarantine genuine stuck
+        // runs: cabinet samples carry no noise.
         let start = SimTime::from_ymd(2022, 6, 1);
-        let mut c = Campaign::new(
-            scaled_facility(41, 10),
-            instrumented_config(),
-            start,
-            OperatingPoint::AFTER_BIOS,
-        );
-        c.run_until(start + SimDuration::from_days(3));
-        let stats = c.checkpoint(&scratch.0).unwrap();
-        assert!(stats.series > 1 && stats.samples > 0);
+        let meter_cases = [
+            ("ideal", None),
+            ("default", Some(MeterFaultConfig::default())),
+            ("clean", Some(MeterFaultConfig::clean())),
+        ];
+        for (tag, meters) in meter_cases {
+            let scratch = Scratch::new(&format!("roundtrip-{tag}"));
+            let cfg = CampaignConfig {
+                faults: Some(FaultInjectionConfig {
+                    domains: quiet_domains(),
+                    meters,
+                    ..FaultInjectionConfig::default()
+                }),
+                ..instrumented_config()
+            };
+            let op = OperatingPoint::AFTER_BIOS;
+            let mut c = Campaign::new(scaled_facility(41, 10), cfg.clone(), start, op);
+            c.run_until(start + SimDuration::from_days(2));
+            let stats = c.checkpoint(&scratch.0).unwrap();
+            assert!(stats.series > 1 && stats.samples > 0);
+            let history = store_history(&c);
 
-        let r = Campaign::resume(
-            scaled_facility(41, 10),
-            instrumented_config(),
-            OperatingPoint::AFTER_BIOS,
-            &scratch.0,
-        )
-        .unwrap();
-        // The dense facility view survives to the bit, mirror included.
-        assert_eq!(c.power_series().len(), r.power_series().len());
-        for (a, b) in c.power_series().values().iter().zip(r.power_series().values().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            let mut r = Campaign::resume(scaled_facility(41, 10), cfg, op, &scratch.0)
+                .unwrap_or_else(|e| panic!("{tag} meters: resume failed: {e}"));
+            assert_eq!(store_history(&r), history, "{tag} meters: recovered store differs");
+            assert_eq!(r.telemetry_stats().wal_replay, None);
+
+            // One more day lands behind the recovered prefix, untouched.
+            r.run_until(start + SimDuration::from_days(3));
+            for (after, before) in store_history(&r).iter().zip(&history) {
+                assert!(after.len() > before.len(), "{tag} meters: no samples after resume");
+                assert_eq!(&after[..before.len()], &before[..], "{tag} meters: prefix changed");
+            }
+            assert_eq!(r.telemetry_stats().samples_rejected, 0, "{tag} meters");
+            let violations = r.verify_invariants();
+            assert!(violations.is_empty(), "{tag} meters: {violations:?}");
         }
-        // So do the compact cabinet views and the store contents.
-        assert_eq!(c.cabinet_series().len(), r.cabinet_series().len());
-        for (a, b) in c.cabinet_series().iter().zip(r.cabinet_series()) {
-            assert_eq!(a.values(), b.values());
-        }
-        for &sid in c.cabinet_series_ids() {
-            assert_eq!(
-                c.telemetry_store().with_series(sid, |s| s.scan(i64::MIN, i64::MAX)),
-                r.telemetry_store().with_series(sid, |s| s.scan(i64::MIN, i64::MAX)),
-            );
-        }
-        assert_eq!(r.telemetry_stats().samples_rejected, 0);
-        assert_eq!(r.telemetry_stats().wal_replay, None);
     }
 
     #[test]

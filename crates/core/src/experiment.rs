@@ -325,7 +325,7 @@ impl FigureResult {
 /// full-facility kilowatts).
 fn scale_series(s: &TimeSeries, k: f64) -> TimeSeries {
     let mut out = TimeSeries::new(s.start(), s.interval(), s.unit.clone());
-    for &v in s.values().iter() {
+    for v in s.values() {
         out.push(v * k);
     }
     out
@@ -344,7 +344,7 @@ fn run_window(
     spec.changes = changes.iter().map(|&(at, op, _)| (at, op)).collect();
     let (series, utilisation) = run_scenarios(std::slice::from_ref(&spec), |_, campaign| {
         let k = 5860.0 / campaign.facility().nodes() as f64;
-        (scale_series(campaign.power_series(), k), campaign.utilisation())
+        (scale_series(&campaign.power_series(), k), campaign.utilisation())
     })
     .pop()
     .expect("one scenario in, one result out");
@@ -1107,14 +1107,10 @@ pub fn grid_aware_december(seed: u64, scale: u32) -> GridAwareResult {
     ];
     let results = run_scenarios(&specs, |_, c| {
         let k = 5860.0 / c.facility().nodes() as f64;
-        let mean = c.power_series().mean() * k;
+        let power = c.power_series();
         let acc = hpc_emissions::Scope2Accountant::new(scenario);
         // Integrate the (scaled) series against the hourly CI signal.
-        let mut series = hpc_telemetry::TimeSeries::new(start, c.power_series().interval(), "kW");
-        for &v in c.power_series().values().iter() {
-            series.push(v * k);
-        }
-        (mean, acc.emissions_t(&series))
+        (power.mean() * k, acc.emissions_t(&scale_series(&power, k)))
     });
     let (static_fast_kw, e_fast) = results[0];
     let (static_slow_kw, e_slow) = results[1];

@@ -31,8 +31,7 @@ pub mod sweep;
 pub mod verify;
 
 pub use campaign::{
-    Campaign, CampaignConfig, FailureConfig, FaultInjectionConfig, FrequencyPolicy, SensorStats,
-    TelemetryStats,
+    Campaign, CampaignConfig, FaultInjectionConfig, FrequencyPolicy, SensorStats, TelemetryStats,
 };
 pub use facility::{Archer2Facility, PowerBudget};
 pub use scenarios::{run_scenarios, ScenarioSpec};

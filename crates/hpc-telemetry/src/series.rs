@@ -1,23 +1,17 @@
 //! Regular-interval time series.
 //!
 //! The facility's cabinet power telemetry samples on a fixed cadence
-//! (15 minutes in the campaign runner). Since the `hpc-tsdb` migration a
-//! `TimeSeries` is a thin view over a compressed tsdb series: appends go
-//! into Gorilla-compressed chunks (and the rollup cascade), and windowed
-//! statistics are answered by the tsdb query planner — rollup buckets when
-//! the window is aligned, chunk scans otherwise. A dense `Vec<f64>` mirror
-//! can be kept so the original `values()` slice API stays borrow-cheap —
-//! but it is **opt-out**: per-node-scale callers (the campaign's cabinet
-//! series, anything sized like `hpc_tsdb::TsdbStore` workloads) build with
-//! [`TimeSeries::new_compact`] and hold only the compressed chunks, with
-//! `values()` decoding on demand. Without the opt-out the mirror costs
-//! 8 bytes/sample and silently erases the compression win.
+//! (15 minutes in the campaign runner). A `TimeSeries` is a thin view over
+//! one compressed tsdb series: appends go into Gorilla-compressed chunks
+//! (and the rollup cascade), windowed statistics are answered by the tsdb
+//! query planner — rollup buckets when the window is aligned, chunk scans
+//! otherwise — and [`TimeSeries::values`] decodes the samples on demand.
+//! The compressed chunks are the only copy of the data.
 
 use hpc_tsdb::series::{Series, SeriesMeta};
 use serde::{DeError, Deserialize, Serialize, Value};
 use sim_core::stats::OnlineStats;
 use sim_core::time::{SimDuration, SimTime};
-use std::borrow::Cow;
 
 /// A dense, regular-interval `f64` time series backed by compressed
 /// tsdb storage.
@@ -25,11 +19,8 @@ use std::borrow::Cow;
 pub struct TimeSeries {
     start_unix: u64,
     interval_s: u64,
-    /// Authoritative compressed storage + rollups.
+    /// Compressed storage + rollups.
     store: Series,
-    /// Optional dense mirror for the borrowed-slice API (`values()`);
-    /// `None` for compact series, which decode on demand.
-    mirror: Option<Vec<f64>>,
     /// Unit label carried through to CSV/plots (e.g. `"kW"`).
     pub unit: String,
 }
@@ -45,26 +36,13 @@ impl PartialEq for TimeSeries {
 
 impl TimeSeries {
     /// Create an empty series starting at `start` with the given sampling
-    /// interval, keeping a dense mirror so `values()` borrows.
+    /// interval.
     ///
     /// # Panics
     /// Panics if the interval is zero.
     pub fn new(start: SimTime, interval: SimDuration, unit: impl Into<String>) -> Self {
-        Self::build(start, interval, unit.into(), true)
-    }
-
-    /// Create an empty **compact** series: only the compressed chunks are
-    /// held (no dense mirror), and `values()` decodes on demand. Use this
-    /// at per-node scale where the mirror would dominate memory.
-    ///
-    /// # Panics
-    /// Panics if the interval is zero.
-    pub fn new_compact(start: SimTime, interval: SimDuration, unit: impl Into<String>) -> Self {
-        Self::build(start, interval, unit.into(), false)
-    }
-
-    fn build(start: SimTime, interval: SimDuration, unit: String, mirrored: bool) -> Self {
         assert!(!interval.is_zero(), "sampling interval must be positive");
+        let unit = unit.into();
         TimeSeries {
             start_unix: start.as_unix(),
             interval_s: interval.as_secs(),
@@ -73,29 +51,26 @@ impl TimeSeries {
                 unit: unit.clone(),
                 interval_hint: interval.as_secs() as i64,
             }),
-            mirror: mirrored.then(Vec::new),
             unit,
         }
     }
 
-    /// Rebuild a series from `(unix timestamp, value)` samples recovered
-    /// out of a [`hpc_tsdb::TsdbStore`] snapshot — the resume path of a
-    /// checkpointed campaign. Samples must sit exactly on the
-    /// `start + k·interval` grid with no gaps (the campaign records on a
-    /// fixed cadence, so recovered telemetry always does); values are
-    /// re-encoded through the lossless codec, so the rebuilt series is
-    /// bit-identical to the one that was checkpointed.
+    /// Build a series from `(unix timestamp, value)` samples scanned out of
+    /// a [`hpc_tsdb::TsdbStore`] series — how a campaign hands out its
+    /// facility power series, and how resume validates recovered history.
+    /// Samples must sit exactly on the `start + k·interval` grid with no
+    /// gaps; values are re-encoded through the lossless codec, so the
+    /// series is bit-identical to the stored one.
     ///
     /// # Errors
-    /// Returns a description of the first off-grid timestamp.
+    /// Returns a description of the first off-grid or missing timestamp.
     pub fn from_tsdb_samples(
         start: SimTime,
         interval: SimDuration,
         unit: impl Into<String>,
         samples: &[(i64, f64)],
-        mirrored: bool,
     ) -> Result<Self, String> {
-        let mut s = Self::build(start, interval, unit.into(), mirrored);
+        let mut s = Self::new(start, interval, unit);
         for (i, &(ts, v)) in samples.iter().enumerate() {
             let expect = (s.start_unix + i as u64 * s.interval_s) as i64;
             if ts != expect {
@@ -106,12 +81,6 @@ impl TimeSeries {
             s.push(v);
         }
         Ok(s)
-    }
-
-    /// Whether this series keeps the dense mirror (`false` for
-    /// [`new_compact`](TimeSeries::new_compact) series).
-    pub fn has_mirror(&self) -> bool {
-        self.mirror.is_some()
     }
 
     /// Start instant.
@@ -134,16 +103,10 @@ impl TimeSeries {
         self.store.is_empty()
     }
 
-    /// The raw samples: borrowed from the dense mirror when one is kept,
-    /// decoded from the compressed chunks otherwise (lossless either way).
-    pub fn values(&self) -> Cow<'_, [f64]> {
-        match &self.mirror {
-            Some(v) => Cow::Borrowed(v.as_slice()),
-            None => Cow::Owned(self.decoded()),
-        }
-    }
-
-    fn decoded(&self) -> Vec<f64> {
+    /// The raw samples, decoded from the compressed chunks (lossless).
+    /// Each call decodes the whole series: bind the result once rather
+    /// than calling this inside a loop.
+    pub fn values(&self) -> Vec<f64> {
         self.store.scan(i64::MIN, i64::MAX).into_iter().map(|(_, v)| v).collect()
     }
 
@@ -165,9 +128,6 @@ impl TimeSeries {
         assert!(value.is_finite(), "non-finite sample {value}");
         let ts = self.start_unix + self.store.len() * self.interval_s;
         self.store.append(ts as i64, value);
-        if let Some(mirror) = &mut self.mirror {
-            mirror.push(value);
-        }
     }
 
     /// Timestamp of sample `i`.
@@ -228,8 +188,7 @@ impl TimeSeries {
             SimDuration::from_secs(self.interval_s * k as u64),
             self.unit.clone(),
         );
-        let values = self.values();
-        for chunk in values.chunks(k) {
+        for chunk in self.values().chunks(k) {
             let mean = chunk.iter().sum::<f64>() / chunk.len() as f64;
             out.push(mean);
         }
@@ -244,21 +203,15 @@ impl TimeSeries {
     }
 }
 
-// The backing tsdb series is reconstructed from the dense samples, so the
-// serialised form is exactly the pre-migration one: start, interval,
-// samples, unit. Compact series decode their samples for serialisation —
-// the codec is bit-lossless, so mirrored and compact series serialise
-// identically.
+// The serialised form is the dense one: start, interval, samples, unit.
+// Samples are decoded for serialisation and re-encoded on deserialisation;
+// the codec is bit-lossless, so a round trip is exact.
 impl Serialize for TimeSeries {
     fn to_value(&self) -> Value {
-        let samples = match &self.mirror {
-            Some(v) => v.to_value(),
-            None => self.decoded().to_value(),
-        };
         Value::Map(vec![
             ("start_unix".into(), self.start_unix.to_value()),
             ("interval_s".into(), self.interval_s.to_value()),
-            ("samples".into(), samples),
+            ("samples".into(), self.values().to_value()),
             ("unit".into(), self.unit.to_value()),
         ])
     }
@@ -368,7 +321,6 @@ mod tests {
             original.interval(),
             "kW",
             &samples,
-            true,
         )
         .unwrap();
         assert_eq!(rebuilt, original);
@@ -379,7 +331,6 @@ mod tests {
             original.interval(),
             "kW",
             &[(0, 1.0), (901, 2.0)],
-            false,
         );
         assert!(err.is_err());
     }
@@ -411,52 +362,6 @@ mod tests {
             s.compressed_bytes(),
             vals.len()
         );
-    }
-
-    #[test]
-    fn compact_series_agrees_with_mirrored() {
-        let vals: Vec<f64> = (0..1500).map(|i| 2800.0 + f64::from(i % 37) * 3.5).collect();
-        let mirrored = series_with(&vals);
-        let mut compact =
-            TimeSeries::new_compact(SimTime::from_unix(0), SimDuration::from_mins(15), "kW");
-        for &v in &vals {
-            compact.push(v);
-        }
-        assert!(!compact.has_mirror());
-        assert!(mirrored.has_mirror());
-        assert_eq!(compact.len(), vals.len());
-        assert_eq!(compact.end(), mirrored.end());
-        // values() decodes losslessly.
-        let decoded = compact.values();
-        for (d, v) in decoded.iter().zip(&vals) {
-            assert_eq!(d.to_bits(), v.to_bits());
-        }
-        assert_eq!(compact, mirrored);
-        // Window stats flow through the same tsdb planner either way.
-        let a = mirrored.window_stats(mirrored.time_at(13), mirrored.time_at(509));
-        let b = compact.window_stats(compact.time_at(13), compact.time_at(509));
-        assert_eq!(a.count(), b.count());
-        assert!((a.mean() - b.mean()).abs() < 1e-12);
-        // And the memory story is real: no 8 B/sample mirror.
-        assert!(compact.compressed_bytes() < vals.len() * 8);
-        let down = compact.block_means(96);
-        assert_eq!(down.len(), vals.len().div_ceil(96));
-    }
-
-    #[test]
-    fn compact_series_serializes_identically() {
-        let vals = [3220.0, 3010.0, 2530.0, 2530.5];
-        let mirrored = series_with(&vals);
-        let mut compact =
-            TimeSeries::new_compact(SimTime::from_unix(0), SimDuration::from_mins(15), "kW");
-        for &v in &vals {
-            compact.push(v);
-        }
-        let a = serde_json::to_string(&mirrored).unwrap();
-        let b = serde_json::to_string(&compact).unwrap();
-        assert_eq!(a, b, "serialised form must not leak the mirror flag");
-        let back: TimeSeries = serde_json::from_str(&b).unwrap();
-        assert_eq!(back, compact);
     }
 
     #[test]

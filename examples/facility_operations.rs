@@ -1,13 +1,14 @@
-//! A week in the machine room: failure injection, per-cabinet telemetry,
-//! partition admission and job-trace accounting — the operational substrate
-//! around the paper's measurements.
+//! A week in the machine room: node failure injection, per-cabinet
+//! telemetry, partition admission and job-trace accounting — the
+//! operational substrate around the paper's measurements.
 //!
 //! ```text
 //! cargo run --release --example facility_operations
 //! ```
 
-use archer2_repro::core::campaign::{Campaign, CampaignConfig, FailureConfig};
+use archer2_repro::core::campaign::{Campaign, CampaignConfig, FaultInjectionConfig};
 use archer2_repro::core::experiment::scaled_facility;
+use archer2_repro::faults::{DomainFaultConfig, DomainRate};
 use archer2_repro::prelude::*;
 use archer2_repro::sched::QosPolicy;
 use archer2_repro::workload::OperatingPoint;
@@ -17,20 +18,32 @@ fn main() {
     let facility = scaled_facility(seed, 10);
     let scale_up = 5860.0 / facility.nodes() as f64;
     let start = SimTime::from_ymd(2022, 9, 1);
+    let week = SimDuration::from_days(7);
+    let end = start + week;
 
+    // Independent node failures only: ~6 months per node, a fixed 24 h
+    // repair, and no cabinet, CDU or switch faults.
+    let node_failures = DomainFaultConfig {
+        node: DomainRate { mtbf_hours: 4_380.0, repair_mean_hours: 24.0, repair_sigma: 0.0 },
+        cabinet: DomainRate::OFF,
+        cdu: DomainRate::OFF,
+        switch: DomainRate::OFF,
+        ..DomainFaultConfig::default()
+    };
     let config = CampaignConfig {
         record_trace: true,
         per_cabinet_telemetry: true,
-        failures: Some(FailureConfig {
-            node_mtbf_hours: 4_380.0, // ~6 months per node
-            repair: SimDuration::from_hours(24),
+        faults: Some(FaultInjectionConfig {
+            domains: node_failures,
+            horizon: week,
+            ..FaultInjectionConfig::default()
         }),
         ..CampaignConfig::default()
     };
 
     println!("simulating one week with failures, traces and cabinet meters...");
     let mut c = Campaign::new(facility, config, start, OperatingPoint::AFTER_BIOS);
-    c.run_until(start + SimDuration::from_days(7));
+    c.run_until(end);
 
     // --- Reliability ------------------------------------------------------
     let (failures, killed) = c.failure_counts();
@@ -44,10 +57,12 @@ fn main() {
     // --- Per-cabinet telemetry --------------------------------------------
     println!();
     println!("=== Per-cabinet mean power (full-facility kW) ===");
-    for (i, s) in c.cabinet_series().iter().enumerate() {
-        println!("cabinet {i}: {:>7.0} kW", s.mean() * scale_up);
+    let mut sum = 0.0;
+    for i in 0..c.cabinet_series_ids().len() {
+        let kw = c.cabinet_window_gap(i, start, end).expect("cabinet series").mean() * scale_up;
+        println!("cabinet {i}: {kw:>7.0} kW");
+        sum += kw;
     }
-    let sum: f64 = c.cabinet_series().iter().map(|s| s.mean()).sum::<f64>() * scale_up;
     println!("sum {:.0} kW vs facility series {:.0} kW", sum, c.power_series().mean() * scale_up);
 
     // --- Job accounting -----------------------------------------------------

@@ -201,7 +201,8 @@ fn main() {
         );
     }
     let estimate_kw = metered_kw + uncertainty_kw; // coverage-weighted + band centre
-    let true_kw = campaign.power_series().mean();
+    let power = campaign.power_series();
+    let true_kw = power.mean();
     println!(
         "metered estimate: {estimate_kw:.0} ± {uncertainty_kw:.0} kW (ground truth {true_kw:.0} kW, worst cabinet coverage {:.1} %)",
         worst_coverage * 100.0,
@@ -215,7 +216,7 @@ fn main() {
     let hours = days as f64 * 24.0;
     let energy_mwh = true_kw * hours / 1000.0;
     let accountant = Scope2Accountant::new(IntensityScenario::UkGrid2022);
-    let emissions_t = accountant.emissions_t(campaign.power_series());
+    let emissions_t = accountant.emissions_t(&power);
     let rel_band = uncertainty_kw / estimate_kw.max(1.0);
     println!();
     println!(

@@ -36,7 +36,8 @@ fn main() {
     println!("simulating one week of production workload...");
     campaign.run_until(start + SimDuration::from_days(7));
 
-    let mean_kw = campaign.power_series().mean() * scale_up;
+    let power = campaign.power_series();
+    let mean_kw = power.mean() * scale_up;
     let (started, _) = campaign.job_counts();
     println!();
     println!("=== One week of simulated production ===");
@@ -45,7 +46,7 @@ fn main() {
     println!("mean compute-cabinet power:  {mean_kw:.0} kW (paper baseline: 3,220 kW)");
     println!(
         "energy used by compute cabinets: {:.0} MWh",
-        campaign.power_series().integral_unit_hours() * scale_up / 1000.0
+        power.integral_unit_hours() * scale_up / 1000.0
     );
 
     // --- And what the full facility looks like closed-form ---------------

@@ -27,6 +27,8 @@ cargo test -q --offline -p hpc-tsdb --test tsdb_recovery
 echo "== facility fault-injection suite =="
 cargo test -q --offline -p hpc-faults
 cargo test -q --offline -p archer2-core --lib fault_campaign_tests
+# The node-failure example runs (not just compiles) through the one fault model.
+cargo run --release --offline --example facility_operations >/dev/null
 
 echo "== benchmark smoke (BENCH_tsdb_query.json, BENCH_tsdb_persist.json) =="
 # Keep the previous record (full-scale or prior smoke run) around as the

@@ -1,6 +1,6 @@
-//! Reconciliation of the compressed telemetry store against the campaign's
-//! dense series, and the paper's change-point means read back through tsdb
-//! queries.
+//! Reconciliation of the per-cabinet series against the facility series
+//! inside the campaign's compressed telemetry store, and the paper's
+//! change-point means read back through tsdb queries.
 //!
 //! The paper's Figures 1–3 are cabinet-PDU measurements aggregated to the
 //! facility level; here we check the same accounting holds inside the
