@@ -42,6 +42,7 @@ use serde::{Deserialize, Serialize};
 use sim_core::rng::{Rng, Xoshiro256StarStar};
 use sim_core::sim::{Scheduler as EventScheduler, Simulation, World};
 use sim_core::time::{SimDuration, SimTime};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -259,9 +260,10 @@ struct ResumePieces {
 enum Event {
     /// Telemetry sample tick.
     Sample,
-    /// A running job finishes. The epoch guards against a stale completion
-    /// firing for a job that was killed by a node failure and restarted.
-    Finish(JobId, u32),
+    /// A running job finishes. The second field is the run number
+    /// ([`JobRun::run`]) of the placement that scheduled it: a completion
+    /// for a job killed by a fault (and maybe restarted) is stale.
+    Finish(JobId, u64),
     /// Top up the backlog and run a scheduling pass.
     Refill,
     /// The dynamic operating schedule re-evaluates.
@@ -327,6 +329,22 @@ enum NodeState {
     Dark,
 }
 
+/// One running job's accounting record, kept from placement to finish or
+/// kill.
+#[derive(Debug, Clone, Copy)]
+struct JobRun {
+    /// The job's total node power (W): the exact bits added to
+    /// `busy_power_w` at placement, so finishing subtracts the same bits
+    /// (`node_watts[i] × nodes` does not round-trip them).
+    power_w: f64,
+    /// Effective operating point (for trace records).
+    op: OperatingPoint,
+    /// `started_jobs` at placement: unique per placement, so a `Finish`
+    /// scheduled by an earlier run of a requeued job is recognised as
+    /// stale.
+    run: u64,
+}
+
 /// Incremental per-cabinet power aggregate: enough to price a cabinet in
 /// O(1) at sample time. Idle count is derived (`cabinet nodes − busy −
 /// dark`), so only two counters and one power sum need maintaining.
@@ -352,8 +370,8 @@ struct FacilityWorld {
     config: CampaignConfig,
     /// Sum of node power over running jobs (W).
     busy_power_w: f64,
-    /// Per-job node power (W) for incremental accounting.
-    job_power_w: HashMap<JobId, f64>,
+    /// One record per running job.
+    running: HashMap<JobId, JobRun>,
     /// (power W/node, runtime ratio) cache per app × operating point.
     eval_cache: HashMap<EvalKey, (f64, f64)>,
     /// App-name interner backing [`EvalKey::app`]: one clone per distinct
@@ -394,10 +412,6 @@ struct FacilityWorld {
     policy_rng: Xoshiro256StarStar,
     reverted_jobs: u64,
     started_jobs: u64,
-    /// Run-instance counter per job id (bumped when a failure kills a job).
-    job_epoch: HashMap<JobId, u32>,
-    /// Effective operating point per running job (for trace records).
-    job_op: HashMap<JobId, OperatingPoint>,
     trace: JobTrace,
     /// Compressed telemetry store — the campaign's only copy of its
     /// telemetry: the facility series always, per-cabinet and per-node
@@ -559,8 +573,8 @@ impl FacilityWorld {
             let (power_per_node_w, rt_ratio) = self.evaluate(&running.app, op);
             let job_w = power_per_node_w * running.nodes as f64;
             self.busy_power_w += job_w;
-            self.job_power_w.insert(p.job_id, job_w);
-            self.job_op.insert(p.job_id, op);
+            let run = self.started_jobs;
+            self.running.insert(p.job_id, JobRun { power_w: job_w, op, run });
             self.started_jobs += 1;
             // Same division the retired per-sample lookup performed, so the
             // SoA watt array carries bit-identical per-node values.
@@ -569,8 +583,7 @@ impl FacilityWorld {
                 self.set_node(n, NodeState::Busy, per_node_w);
             }
             let runtime = running.actual_runtime(rt_ratio);
-            let epoch = *self.job_epoch.entry(p.job_id).or_insert(0);
-            sched.after(runtime, Event::Finish(p.job_id, epoch));
+            sched.after(runtime, Event::Finish(p.job_id, run));
         }
     }
 
@@ -587,7 +600,7 @@ impl FacilityWorld {
         if n.0 >= self.schedulable_nodes {
             per_idle_w // the unavailable set idles
         } else if let Some(job) = self.scheduler.job_on_node(n) {
-            let job_w = self.job_power_w.get(&job).copied().unwrap_or(0.0);
+            let job_w = self.running.get(&job).map_or(0.0, |r| r.power_w);
             let nodes = self.scheduler.running_job(job).map_or(1, |r| r.job.nodes);
             job_w / nodes as f64
         } else if self.scheduler.is_node_offline(n) {
@@ -772,19 +785,17 @@ impl FacilityWorld {
         }
     }
 
-    /// Strip a failure-killed job out of the incremental power accounting
-    /// and bump its epoch so any in-flight `Finish` event goes stale. A
-    /// missing power slot is an internal-invariant breach: reported, and
-    /// the kill proceeds with zero power instead of aborting the campaign.
+    /// Strip a failure-killed job out of the incremental power accounting;
+    /// dropping its record makes any in-flight `Finish` event stale. A
+    /// missing record is an internal-invariant breach: reported, and the
+    /// kill proceeds with zero power instead of aborting the campaign.
     fn kill_job_accounting(&mut self, killed: JobId) {
-        match self.job_power_w.remove(&killed) {
-            Some(job_w) => self.busy_power_w -= job_w,
+        match self.running.remove(&killed) {
+            Some(job) => self.busy_power_w -= job.power_w,
             None => self.invariant_breach(format!(
                 "kill: job {killed:?} was running but carried no power"
             )),
         }
-        self.job_op.remove(&killed);
-        *self.job_epoch.entry(killed).or_insert(0) += 1;
         self.jobs_killed += 1;
     }
 
@@ -981,37 +992,15 @@ impl World for FacilityWorld {
                 }
                 sched.after(self.config.sample_interval, Event::Sample);
             }
-            Event::Finish(id, epoch) => {
-                if self.job_epoch.get(&id) != Some(&epoch) {
-                    // Stale completion: the job was killed by a failure and
-                    // restarted (or is waiting to restart) under a new epoch.
-                    return;
-                }
-                // Missing accounting slots are internal-invariant breaches:
-                // report and degrade (zero power, current operating point)
-                // instead of aborting the campaign mid-flight.
-                let job_w = match self.job_power_w.remove(&id) {
-                    Some(w) => {
-                        self.busy_power_w -= w;
-                        w
-                    }
-                    None => {
-                        self.invariant_breach(format!(
-                            "finish: job {id:?} completed but carried no power"
-                        ));
-                        0.0
-                    }
+            Event::Finish(id, run) => {
+                let job = match self.running.entry(id) {
+                    Entry::Occupied(e) if e.get().run == run => e.remove(),
+                    // Stale completion: this run was killed by a fault (the
+                    // job is requeued, restarted under a new run, or given
+                    // up on).
+                    _ => return,
                 };
-                self.job_epoch.remove(&id);
-                let op = match self.job_op.remove(&id) {
-                    Some(op) => op,
-                    None => {
-                        self.invariant_breach(format!(
-                            "finish: job {id:?} completed but carried no operating point"
-                        ));
-                        self.op
-                    }
-                };
+                self.busy_power_w -= job.power_w;
                 let done = self.scheduler.complete(id, now);
                 for &n in &done.nodes {
                     self.set_node(n, NodeState::Idle, 0.0);
@@ -1025,8 +1014,8 @@ impl World for FacilityWorld {
                         submitted: done.job.submitted_at,
                         started: done.started_at,
                         ended: now,
-                        op,
-                        node_power_w: job_w / done.job.nodes as f64,
+                        op: job.op,
+                        node_power_w: job.power_w / done.job.nodes as f64,
                     });
                 }
                 self.refill(now);
@@ -1192,7 +1181,7 @@ impl Campaign {
             op,
             policy_active: true,
             busy_power_w: 0.0,
-            job_power_w: HashMap::new(),
+            running: HashMap::new(),
             eval_cache: HashMap::new(),
             app_ids: HashMap::new(),
             node_state: vec![NodeState::Idle; n_nodes],
@@ -1211,8 +1200,6 @@ impl Campaign {
             policy_rng: root.substream(2),
             reverted_jobs: 0,
             started_jobs: 0,
-            job_epoch: HashMap::new(),
-            job_op: HashMap::new(),
             trace: JobTrace::new(),
             store,
             facility_sid,
@@ -1285,9 +1272,9 @@ impl Campaign {
     /// on from the checkpoint instant.
     ///
     /// Recovery reads `store.tsnap` and, if present, replays `wal.twal`
-    /// (written by ingest pipelines built with
-    /// [`hpc_tsdb::TsdbStore::pipeline_with_wal`]) on top; the replay
-    /// outcome lands in [`Self::telemetry_stats`]. `config` must describe
+    /// (written by a [`hpc_tsdb::WalWriter`] that logs each batch before
+    /// the writer applies it) on top; the replay outcome lands in
+    /// [`Self::telemetry_stats`]. `config` must describe
     /// the same sampling grid and telemetry series set the checkpoint was
     /// taken with, and the recovered facility series must sit on that grid
     /// with no gaps, or this returns [`PersistError::Malformed`]. Cabinet
@@ -1641,17 +1628,17 @@ impl Campaign {
                 w.schedulable_nodes
             ));
         }
-        let sum_w: f64 = w.job_power_w.values().sum();
+        let sum_w: f64 = w.running.values().map(|r| r.power_w).sum();
         if (sum_w - w.busy_power_w).abs() > 1e-6 * w.busy_power_w.abs().max(1.0) {
             violations.push(format!(
                 "energy accounting: running jobs draw {sum_w} W but busy_power_w is {} W",
                 w.busy_power_w
             ));
         }
-        if w.job_power_w.len() != w.scheduler.running_count() {
+        if w.running.len() != w.scheduler.running_count() {
             violations.push(format!(
                 "power map: {} jobs carry power but {} are running",
-                w.job_power_w.len(),
+                w.running.len(),
                 w.scheduler.running_count()
             ));
         }
@@ -2393,7 +2380,7 @@ mod persistence_tests {
         c.run_until(start + SimDuration::from_days(1));
         c.checkpoint(&scratch.0).unwrap();
 
-        // An external ingest pipeline appended one more grid-aligned sample
+        // An external writer logged one more grid-aligned sample
         // after the snapshot; only its WAL survived the "crash".
         let n = c.power_series().len() as u64;
         let interval = cfg.sample_interval.as_secs();

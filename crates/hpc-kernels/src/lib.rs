@@ -9,8 +9,8 @@
 //! Each kernel reports its analytic flop and byte counts, so the roofline
 //! harness ([`roofline`]) can classify it by operational intensity — the
 //! ground truth behind the β (compute-bound fraction) parameters the
-//! workload models use. The Criterion benches in `archer2-bench` run these
-//! kernels to demonstrate the dichotomy on the host machine.
+//! workload models use. The unit tests check each kernel's answer and the
+//! roofline class it lands in.
 //!
 //! Parallelism is Rayon data-parallelism throughout: no hand-rolled thread
 //! pools, data-race freedom by construction.

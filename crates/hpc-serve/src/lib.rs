@@ -69,8 +69,8 @@ pub use chaos::{ChaosPlan, ChaosProxy, ChaosStats};
 pub use client::{Client, ClientConfig, ConnectError};
 pub use protocol::{
     DeadlineRead, ErrorKind, FrameError, Introspection, Request, Response, TenantSnapshot,
-    WireGap, WireGroup, WireOp, WireQueryStats, WireSeries, WireWindow, MAX_BATCH_LEN,
-    MAX_FRAME_LEN, PROTOCOL_VERSION,
+    WireGap, WireGroup, WireOp, WireSeries, WireWindow, MAX_BATCH_LEN, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
 pub use resilient::{ResilientClient, ResilientError, RetryPolicy, RetryStats};
 pub use server::{DrainStats, IngestProbe, Server, ServerConfig};

@@ -436,48 +436,6 @@ pub struct WireSeries {
     pub samples: u64,
 }
 
-/// [`hpc_tsdb::QueryStats`] on the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireQueryStats {
-    /// Store-level query evaluations.
-    pub queries: u64,
-    /// Windows served from 1-hour rollups.
-    pub plans_hour: u64,
-    /// Windows served from 1-minute rollups.
-    pub plans_minute: u64,
-    /// Windows served by raw chunk scans.
-    pub plans_raw: u64,
-    /// Sealed chunks Gorilla-decoded.
-    pub chunks_decoded: u64,
-    /// Sealed-chunk reads served from the decoded-chunk cache.
-    pub chunk_cache_hits: u64,
-    /// Decoded samples iterated by raw scans.
-    pub samples_scanned: u64,
-    /// Zone-map blocks answered without decoding sample data.
-    pub blocks_pruned: u64,
-    /// Sealed chunks rewritten by compaction passes.
-    pub chunks_compacted: u64,
-    /// Wall nanoseconds inside store-level query entry points.
-    pub wall_nanos: u64,
-}
-
-impl From<hpc_tsdb::QueryStats> for WireQueryStats {
-    fn from(s: hpc_tsdb::QueryStats) -> Self {
-        WireQueryStats {
-            queries: s.queries,
-            plans_hour: s.plans_hour,
-            plans_minute: s.plans_minute,
-            plans_raw: s.plans_raw,
-            chunks_decoded: s.chunks_decoded,
-            chunk_cache_hits: s.chunk_cache_hits,
-            samples_scanned: s.samples_scanned,
-            blocks_pruned: s.blocks_pruned,
-            chunks_compacted: s.chunks_compacted,
-            wall_nanos: s.wall_nanos,
-        }
-    }
-}
-
 /// Per-tenant counters in an [`Introspection`] reply.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TenantSnapshot {
@@ -512,7 +470,7 @@ pub struct TenantSnapshot {
     /// Store work attributed to this tenant (chunks decoded vs cache
     /// hits, samples scanned), folded total-order-safely from per-query
     /// deltas.
-    pub query: WireQueryStats,
+    pub query: hpc_tsdb::QueryStats,
 }
 
 /// The `Introspect` reply: a self-describing snapshot of the server.
@@ -540,7 +498,7 @@ pub struct Introspection {
     /// Single-flight coalesced queries summed across every tenant.
     pub coalesced_queries: u64,
     /// Store-wide query counters since server start.
-    pub store: WireQueryStats,
+    pub store: hpc_tsdb::QueryStats,
     /// Per-tenant breakdown, sorted by tenant name.
     pub tenants: Vec<TenantSnapshot>,
 }
@@ -755,6 +713,50 @@ mod tests {
                     Response::Error { kind: ErrorKind::UnknownSeries, .. }
                 ));
             }
+            other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
+    /// `hpc_tsdb::QueryStats` is sent as is, so its field names and order
+    /// are wire format: pin the exact `store` text of a `Stats` reply.
+    #[test]
+    fn stats_reply_pins_the_query_stats_wire_text() {
+        let store = hpc_tsdb::QueryStats {
+            queries: 101,
+            plans_hour: 102,
+            plans_minute: 103,
+            plans_raw: 104,
+            chunks_decoded: 105,
+            chunk_cache_hits: 106,
+            samples_scanned: 107,
+            blocks_pruned: 108,
+            chunks_compacted: 109,
+            wall_nanos: 110,
+        };
+        let resp = Response::Stats(Introspection {
+            server: "pin".into(),
+            protocol_version: PROTOCOL_VERSION,
+            sessions_active: 1,
+            sessions_rejected: 2,
+            sessions_evicted: 3,
+            draining: false,
+            ingest_rejected: 4,
+            result_cache_hits: 5,
+            result_cache_misses: 6,
+            coalesced_queries: 7,
+            store,
+            tenants: Vec::new(),
+        });
+        let mut buf = Vec::new();
+        send_message(&mut buf, &resp).unwrap();
+        let text = std::str::from_utf8(&buf[4..]).unwrap();
+        let pinned = "\"store\":{\"queries\":101,\"plans_hour\":102,\"plans_minute\":103,\
+                      \"plans_raw\":104,\"chunks_decoded\":105,\"chunk_cache_hits\":106,\
+                      \"samples_scanned\":107,\"blocks_pruned\":108,\"chunks_compacted\":109,\
+                      \"wall_nanos\":110}";
+        assert!(text.contains(pinned), "wire text moved: {text}");
+        match recv_message::<Response>(&mut buf.as_slice()).unwrap() {
+            Response::Stats(back) => assert_eq!(back.store, store),
             other => panic!("wrong variant: {other:?}"),
         }
     }

@@ -55,8 +55,8 @@
 use crate::cache::{CachedReply, Lookup, FLIGHT_WAIT};
 use crate::protocol::{
     decode_message, read_frame_deadline, send_message, write_frame, DeadlineRead, ErrorKind,
-    FrameError, Introspection, Request, Response, WireGap, WireGroup, WireQueryStats, WireSeries,
-    WireWindow, MAX_BATCH_LEN, PROTOCOL_VERSION,
+    FrameError, Introspection, Request, Response, WireGap, WireGroup, WireSeries, WireWindow,
+    MAX_BATCH_LEN, PROTOCOL_VERSION,
 };
 use crate::session::{AdmissionConfig, GlobalAdmission, Reject, TenantState, TimeoutConfig};
 use hpc_tsdb::{
@@ -73,7 +73,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Live ingest-rejection probe: the server calls this on `Introspect` to
-/// report the campaign-side rejected count without owning the pipeline.
+/// report the campaign-side rejected count without owning the writer.
 pub type IngestProbe = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// Server configuration.
@@ -165,7 +165,7 @@ impl Inner {
             result_cache_hits: tenants.iter().map(|t| t.result_cache_hits).sum(),
             result_cache_misses: tenants.iter().map(|t| t.result_cache_misses).sum(),
             coalesced_queries: tenants.iter().map(|t| t.coalesced).sum(),
-            store: WireQueryStats::from(self.store.query_stats()),
+            store: self.store.query_stats(),
             tenants,
         }
     }

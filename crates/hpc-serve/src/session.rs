@@ -14,7 +14,7 @@
 //! otherwise healthy session, which stays open for cheaper queries.
 
 use crate::cache::ResultCache;
-use crate::protocol::{TenantSnapshot, WireQueryStats};
+use crate::protocol::TenantSnapshot;
 use hpc_tsdb::QueryStats;
 use parking_lot::Mutex;
 use sim_core::stats::Histogram;
@@ -264,7 +264,7 @@ impl TenantState {
             p50_us: p50,
             p95_us: p95,
             p99_us: p99,
-            query: WireQueryStats::from(*self.query.lock()),
+            query: *self.query.lock(),
         }
     }
 }

@@ -14,11 +14,12 @@
 //!   downsampling cascade (count/sum/min/max + Welford moments, so means
 //!   re-aggregate exactly);
 //! - [`series`] — one series: sealed chunks + active chunk + rollups;
-//! - [`store`] — the sharded store, its channel-fed ingest pipeline
-//!   (writers hashed by series id, one thread per shard, poisoned batches
-//!   rejected without killing the writer), and the on-demand compaction
-//!   pass ([`TsdbStore::compact`]) that rewrites runs of small sealed
-//!   chunks into large zone-mapped ones;
+//! - [`store`] — the sharded store (series hashed across shard locks),
+//!   its one write path ([`TsdbStore::try_append_batch`] for one series'
+//!   batch, refused whole on bad input; [`TsdbStore::append_tick`] for one
+//!   tick across many series, one lock per shard), and the on-demand
+//!   compaction pass ([`TsdbStore::compact`]) that rewrites runs of small
+//!   sealed chunks into large zone-mapped ones;
 //! - [`cache`] — bounded LRU cache of decoded columnar blocks, keyed by
 //!   chunk uid and shared by all store-level queries (sealed chunks are
 //!   immutable and replacement chunks get fresh uids, so entries never
@@ -33,9 +34,9 @@
 //!   metadata, sealed chunks verbatim, rollup state and active tails,
 //!   framed in CRC-guarded blocks with a footer so truncation and bit rot
 //!   are detected, never mis-read;
-//! - [`wal`] — the write-ahead log on the ingest path and the
-//!   [`recover`] entry point (newest valid snapshot + WAL replay, torn
-//!   tail records skipped and counted);
+//! - [`wal`] — the write-ahead log (writers log each batch before they
+//!   apply it) and the [`recover`] entry point (newest valid snapshot +
+//!   WAL replay, torn tail records skipped and counted);
 //! - [`faults`] — deterministic fault injection (truncation, bit flips,
 //!   mid-write crashes) backing the crash-recovery test suite;
 //! - [`quality`] — the ingest sanitisation stage ([`Sanitizer`]) that
@@ -101,7 +102,7 @@ pub use query::{
 pub use rollup::Aggregate;
 pub use series::{Series, SeriesMeta};
 pub use store::{
-    CompactionStats, IngestError, IngestPipeline, ReadView, SeriesId, StoreConfig, TsdbStore,
+    CompactionStats, IngestError, ReadView, SeriesId, StoreConfig, TsdbStore,
     COMPACT_TARGET_SAMPLES,
 };
 pub use wal::{recover, RecoveryReport, WalConfig, WalReplayStats, WalWriter};

@@ -496,7 +496,8 @@ impl TsdbStore {
     /// Each series is serialised under its shard's read lock, so the
     /// per-series image is always internally consistent; for a globally
     /// consistent point-in-time image, quiesce writers first (the campaign
-    /// checkpoints between simulation runs, the pipeline after `close()`).
+    /// checkpoints between simulation runs; other writers finish their
+    /// appends before the snapshot starts).
     pub fn snapshot_to(&self, w: &mut impl Write) -> Result<SnapshotStats, PersistError> {
         self.snapshot_to_versioned(w, SNAPSHOT_VERSION)
     }

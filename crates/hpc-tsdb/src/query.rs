@@ -29,6 +29,7 @@ use crate::chunk::Chunk;
 use crate::rollup::Aggregate;
 use crate::series::{fold_chunk_aggregate, Series};
 use crate::store::{SeriesId, TsdbStore};
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -226,7 +227,10 @@ pub fn segment_means(series: &Series, boundaries: &[i64]) -> Vec<f64> {
 // ---------------------------------------------------------------------------
 
 /// Snapshot of a store's query counters (see [`TsdbStore::query_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+///
+/// `hpc-serve` sends this struct as is in its `Introspect` replies, so the
+/// field names and their order are part of that wire format.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryStats {
     /// Store-level query evaluations (one per series per call; a fan-out
     /// over N series counts N).

@@ -1,18 +1,21 @@
 //! Sharded, concurrent store: series are hashed across shard locks so
-//! independent writers never contend, and an optional channel-fed pipeline
-//! gives one dedicated writer thread per shard.
+//! independent writers never contend.
+//!
+//! There is one write path. [`TsdbStore::try_append_batch`] appends one
+//! series' batch under one shard lock, refused whole on bad input;
+//! [`TsdbStore::append_tick`] appends one tick across many series, one
+//! lock per shard. [`TsdbStore::append`] and [`TsdbStore::append_batch`]
+//! are panicking conveniences over them. Durable writers log each batch
+//! to a [`crate::WalWriter`] before applying it (see [`crate::wal`]).
 
 use crate::cache::ChunkCache;
 use crate::query::{QueryCounters, QueryStats};
 use crate::rollup::Aggregate;
 use crate::series::{Series, SeriesMeta};
-use crate::wal::WalWriter;
-use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Opaque series handle. The id embeds nothing; routing is `id % shards`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,11 +74,8 @@ pub struct CompactionStats {
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Number of independently locked shards (and pipeline writer
-    /// threads). Must be at least 1.
+    /// Number of independently locked shards. Must be at least 1.
     pub shards: usize,
-    /// Channel capacity, in batches, per pipeline shard.
-    pub channel_capacity: usize,
     /// Decoded-chunk cache size, in chunks (≈ 8 KiB per cached chunk).
     /// Zero disables the cache.
     pub chunk_cache_capacity: usize,
@@ -83,7 +83,7 @@ pub struct StoreConfig {
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig { shards: 8, channel_capacity: 256, chunk_cache_capacity: 4096 }
+        StoreConfig { shards: 8, chunk_cache_capacity: 4096 }
     }
 }
 
@@ -408,9 +408,8 @@ impl TsdbStore {
 
     /// Append a batch of `(ts, value)` samples to one series under a
     /// single lock acquisition, refusing (with no partial write) batches
-    /// for unregistered series or with non-monotonic timestamps. This is
-    /// what the ingest pipeline's shard writers use, so a poisoned batch
-    /// is counted and dropped instead of killing the writer thread.
+    /// for unregistered series or with non-monotonic timestamps, so a
+    /// writer fed bad input counts the refusal and carries on.
     pub fn try_append_batch(&self, id: SeriesId, samples: &[(i64, f64)]) -> Result<(), IngestError> {
         if samples.is_empty() {
             return Ok(());
@@ -447,46 +446,23 @@ impl TsdbStore {
     /// strictly after that series' stored tail). Refusals are per-sample:
     /// one bad series never blocks the rest of the tick.
     pub fn append_tick(&self, ts: i64, samples: &[(SeriesId, f64)]) -> u64 {
-        self.append_multi_impl(samples.iter().map(|&(id, v)| (id, ts, v)), samples.len())
-    }
-
-    /// Append samples spanning many series under one lock acquisition per
-    /// shard, fanning the shards out over rayon. Samples for one series
-    /// must appear in (strictly increasing) timestamp order within the
-    /// slice; per-series order is preserved because a series maps to
-    /// exactly one shard bucket, which is appended sequentially.
-    ///
-    /// Returns the number of refused samples (unknown series,
-    /// non-monotonic timestamps). See [`Self::append_tick`] for the
-    /// common single-timestamp form.
-    pub fn append_batch_multi(&self, samples: &[(SeriesId, i64, f64)]) -> u64 {
-        self.append_multi_impl(samples.iter().copied(), samples.len())
-    }
-
-    fn append_multi_impl(
-        &self,
-        samples: impl Iterator<Item = (SeriesId, i64, f64)>,
-        len_hint: usize,
-    ) -> u64 {
         let n_shards = self.config.shards;
-        // Bucket by shard, preserving input order within each bucket so
-        // per-series monotonicity survives the regrouping.
-        let mut buckets: Vec<Vec<(u64, i64, f64)>> = vec![Vec::new(); n_shards];
-        let per_shard_hint = len_hint / n_shards + 1;
+        // Bucket by shard, preserving input order within each bucket, so a
+        // series listed twice keeps its first sample.
+        let mut buckets: Vec<Vec<(u64, f64)>> = vec![Vec::new(); n_shards];
+        let per_shard_hint = samples.len() / n_shards + 1;
         for b in &mut buckets {
             b.reserve(per_shard_hint);
         }
-        let mut total = 0u64;
-        for (id, ts, v) in samples {
-            buckets[(id.0 % n_shards as u64) as usize].push((id.0, ts, v));
-            total += 1;
+        for &(id, v) in samples {
+            buckets[(id.0 % n_shards as u64) as usize].push((id.0, v));
         }
         let occupied = buckets.iter().filter(|b| !b.is_empty()).count();
         let rejected = AtomicU64::new(0);
-        let apply = |shard_idx: usize, bucket: &[(u64, i64, f64)]| {
+        let apply = |shard_idx: usize, bucket: &[(u64, f64)]| {
             let mut shard = self.shards[shard_idx].write();
             let mut bad = 0u64;
-            for &(id, ts, v) in bucket {
+            for &(id, v) in bucket {
                 match shard.series.get_mut(&id) {
                     Some(series) if series.last_ts().is_none_or(|l| ts > l) => {
                         series.append(ts, v);
@@ -516,9 +492,9 @@ impl TsdbStore {
             });
         }
         let rejected = rejected.load(Ordering::Relaxed);
-        if total > rejected {
-            // One epoch bump per tick/batch call, not per sample — any
-            // sample landing invalidates views and result caches.
+        if samples.len() as u64 > rejected {
+            // One epoch bump per tick, not per sample — any sample landing
+            // invalidates views and result caches.
             self.bump_generation();
         }
         rejected
@@ -613,147 +589,6 @@ impl TsdbStore {
         }
         agg
     }
-
-    /// Start the concurrent ingest pipeline: one writer thread per shard,
-    /// fed by bounded channels. Returns a cloneable handle for producers.
-    /// Samples for one series always land on the same shard thread, so
-    /// per-series ordering is preserved end to end.
-    pub fn pipeline(&self) -> IngestPipeline {
-        self.build_pipeline(None)
-    }
-
-    /// Like [`Self::pipeline`], but every batch is appended to `wal`
-    /// *before* it is queued for its shard writer (log-then-apply), so a
-    /// crash between snapshot and shutdown is recoverable by
-    /// [`crate::recover`]. Registration records for every currently
-    /// registered series are written first, making the WAL replayable even
-    /// without a snapshot. The WAL is flushed and fsynced on `close()`.
-    pub fn pipeline_with_wal(&self, mut wal: WalWriter) -> IngestPipeline {
-        for (id, _) in self.series_entries() {
-            let meta = self
-                .with_series(id, |s| s.meta().clone())
-                .expect("registered series exists");
-            wal.append_register(id, &meta).expect("tsdb WAL registration append failed");
-        }
-        self.build_pipeline(Some(wal))
-    }
-
-    fn build_pipeline(&self, wal: Option<WalWriter>) -> IngestPipeline {
-        let mut senders = Vec::with_capacity(self.config.shards);
-        let mut workers = Vec::with_capacity(self.config.shards);
-        let rejected = Arc::new(AtomicU64::new(0));
-        for shard_idx in 0..self.config.shards {
-            let (tx, rx): (Sender<Batch>, Receiver<Batch>) =
-                channel::bounded(self.config.channel_capacity);
-            let store = self.clone();
-            let rejected = Arc::clone(&rejected);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("tsdb-shard-{shard_idx}"))
-                    .spawn(move || {
-                        // A bad batch (unknown series, out-of-order stamps)
-                        // must not kill the writer: every later batch for
-                        // this shard would fail to send and the eventual
-                        // join would re-panic. Count it and keep draining.
-                        for batch in rx.iter() {
-                            if store.try_append_batch(batch.id, &batch.samples).is_err() {
-                                rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    })
-                    .expect("spawn tsdb shard writer"),
-            );
-            senders.push(tx);
-        }
-        IngestPipeline {
-            senders,
-            workers,
-            shards: self.config.shards,
-            rejected,
-            wal: wal.map(Mutex::new),
-        }
-    }
-}
-
-/// A routed unit of ingest work: samples for one series.
-#[derive(Debug)]
-struct Batch {
-    id: SeriesId,
-    samples: Vec<(i64, f64)>,
-}
-
-/// Handle over the per-shard writer threads. Drop-safe: `close()` (or
-/// drop) disconnects the channels and joins the writers.
-pub struct IngestPipeline {
-    senders: Vec<Sender<Batch>>,
-    workers: Vec<JoinHandle<()>>,
-    shards: usize,
-    rejected: Arc<AtomicU64>,
-    /// Optional write-ahead log; batches are logged before they are queued.
-    wal: Option<Mutex<WalWriter>>,
-}
-
-impl IngestPipeline {
-    /// Queue a batch of samples for one series, blocking when the shard's
-    /// channel is full (backpressure). With a WAL attached
-    /// ([`TsdbStore::pipeline_with_wal`]) the batch is logged first.
-    ///
-    /// # Panics
-    /// Panics if a shard writer exited early or the WAL append fails.
-    pub fn send(&self, id: SeriesId, samples: Vec<(i64, f64)>) {
-        if let Some(wal) = &self.wal {
-            wal.lock().append_batch(id, &samples).expect("tsdb WAL append failed");
-        }
-        let shard = (id.0 % self.shards as u64) as usize;
-        self.senders[shard]
-            .send(Batch { id, samples })
-            .expect("tsdb shard writer exited early");
-    }
-
-    /// Records written to the attached WAL so far (0 without a WAL).
-    pub fn wal_records(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |w| w.lock().records())
-    }
-
-    /// Batches the shard writers refused so far (unknown series,
-    /// out-of-order timestamps). Refused batches are dropped whole; the
-    /// writer keeps draining.
-    pub fn rejected_batches(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Live view of the rejected-batch counter, safe to poll from another
-    /// thread while ingest is running — what a query service's
-    /// introspection endpoint reports without stopping the pipeline. The
-    /// count is monotonic; a batch in flight to its shard writer is counted
-    /// once the writer refuses it, so a reading may trail sends by the
-    /// channel depth but never overcounts.
-    pub fn rejected_so_far(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Disconnect producers and wait for every queued batch to be applied;
-    /// returns the total number of rejected batches. An attached WAL is
-    /// flushed and fsynced so the log is durable through shutdown.
-    pub fn close(mut self) -> u64 {
-        self.senders.clear();
-        for w in self.workers.drain(..) {
-            w.join().expect("tsdb shard writer panicked");
-        }
-        if let Some(wal) = self.wal.take() {
-            wal.into_inner().sync().expect("tsdb WAL sync failed");
-        }
-        self.rejected.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for IngestPipeline {
-    fn drop(&mut self) {
-        self.senders.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -777,7 +612,7 @@ mod tests {
 
     #[test]
     fn series_land_on_distinct_shards() {
-        let store = TsdbStore::new(StoreConfig { shards: 4, channel_capacity: 8, ..StoreConfig::default() });
+        let store = TsdbStore::new(StoreConfig { shards: 4, ..StoreConfig::default() });
         let ids: Vec<SeriesId> = (0..16).map(|i| store.register(meta(&format!("s{i}")))).collect();
         for (i, id) in ids.iter().enumerate() {
             store.append(*id, 0, i as f64);
@@ -788,42 +623,6 @@ mod tests {
         assert_eq!(agg.count, 32);
         assert_eq!(agg.min, 0.0);
         assert_eq!(agg.max, 16.0);
-    }
-
-    #[test]
-    fn pipeline_preserves_per_series_order() {
-        let store = TsdbStore::new(StoreConfig { shards: 4, channel_capacity: 4, ..StoreConfig::default() });
-        let ids: Vec<SeriesId> =
-            (0..32).map(|i| store.register(meta(&format!("node{i}")))).collect();
-        let pipeline = store.pipeline();
-
-        // Many producer threads, each feeding disjoint series.
-        std::thread::scope(|s| {
-            for chunk in ids.chunks(8) {
-                let p = &pipeline;
-                let chunk = chunk.to_vec();
-                s.spawn(move || {
-                    for id in chunk {
-                        for start in (0..200i64).step_by(50) {
-                            let batch: Vec<(i64, f64)> =
-                                (start..start + 50).map(|i| (i * 60, i as f64)).collect();
-                            p.send(id, batch);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(pipeline.close(), 0);
-
-        assert_eq!(store.total_samples(), 32 * 200);
-        for id in ids {
-            let decoded = store.with_series(id, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
-            assert_eq!(decoded.len(), 200);
-            for (i, &(t, v)) in decoded.iter().enumerate() {
-                assert_eq!(t, i as i64 * 60);
-                assert_eq!(v, i as f64);
-            }
-        }
     }
 
     #[test]
@@ -888,29 +687,6 @@ mod tests {
             store.with_series(b, |s| s.scan(i64::MIN, i64::MAX)).unwrap(),
             vec![(60, 2.0), (120, 4.0)]
         );
-    }
-
-    #[test]
-    fn append_batch_multi_preserves_per_series_order() {
-        let store = TsdbStore::new(StoreConfig { shards: 3, ..StoreConfig::default() });
-        let ids: Vec<SeriesId> = (0..9).map(|i| store.register(meta(&format!("m{i}")))).collect();
-        // Interleave series arbitrarily; per-series timestamps ascend.
-        let mut flat = Vec::new();
-        for t in 0..20i64 {
-            for (i, &id) in ids.iter().enumerate() {
-                flat.push((id, t * 30, (i * 1000) as f64 + t as f64));
-            }
-        }
-        assert_eq!(store.append_batch_multi(&flat), 0);
-        assert_eq!(store.total_samples(), 9 * 20);
-        for (i, &id) in ids.iter().enumerate() {
-            let decoded = store.with_series(id, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
-            assert_eq!(decoded.len(), 20);
-            for (t, &(ts, v)) in decoded.iter().enumerate() {
-                assert_eq!(ts, t as i64 * 30);
-                assert_eq!(v, (i * 1000) as f64 + t as f64);
-            }
-        }
     }
 
     #[test]
@@ -1012,24 +788,5 @@ mod tests {
             store.generation(),
             "compaction must republish a serving store's view"
         );
-    }
-
-    #[test]
-    fn poisoned_batch_does_not_take_down_its_shard() {
-        let store = TsdbStore::new(StoreConfig { shards: 2, channel_capacity: 4, ..StoreConfig::default() });
-        let good = store.register(meta("good")); // id 0 → shard 0
-        let pipeline = store.pipeline();
-        // Unknown id routed to shard 0 — previously this panicked the
-        // writer and every later send to shard 0 panicked too.
-        pipeline.send(SeriesId(2), vec![(0, 1.0)]);
-        pipeline.send(good, vec![(0, 10.0), (60, 11.0)]);
-        // Out-of-order poison for the same shard, then more good data.
-        pipeline.send(good, vec![(50, 12.0)]);
-        pipeline.send(good, vec![(120, 13.0)]);
-        assert!(pipeline.rejected_batches() <= 2); // writer may still be draining
-        let rejected = pipeline.close();
-        assert_eq!(rejected, 2, "unknown-series and out-of-order batches are counted");
-        let decoded = store.with_series(good, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
-        assert_eq!(decoded, vec![(0, 10.0), (60, 11.0), (120, 13.0)]);
     }
 }

@@ -277,7 +277,15 @@ fn crash_during_replacement_keeps_the_previous_snapshot() {
     assert_eq!(reference, dump(&back, &old_names));
 }
 
-/// Ingest through the WAL-backed pipeline and return the WAL path plus the
+/// Log every registered series into `wal`, the first records a WAL needs
+/// to be replayable without a snapshot.
+fn log_registrations(store: &TsdbStore, wal: &mut WalWriter) {
+    for (id, meta, _) in store.series_catalog() {
+        wal.append_register(id, &meta).unwrap();
+    }
+}
+
+/// Ingest log-then-apply through a WAL and return the WAL path plus the
 /// reference dump of everything that was written.
 fn wal_ingest(scratch: &Scratch, names: &[String]) -> (PathBuf, Dump) {
     let store = TsdbStore::default();
@@ -290,17 +298,18 @@ fn wal_ingest(scratch: &Scratch, names: &[String]) -> (PathBuf, Dump) {
     let wal_path = scratch.path("wal.twal");
     // fsync_every=1: every record durable, so truncation points are the
     // only "crashes" left to model.
-    let wal = WalWriter::create(&wal_path, WalConfig { fsync_every: 1 }).unwrap();
-    let pipeline = store.pipeline_with_wal(wal);
+    let mut wal = WalWriter::create(&wal_path, WalConfig { fsync_every: 1 }).unwrap();
+    log_registrations(&store, &mut wal);
     for batch in 0..40 {
         for (s, &id) in ids.iter().enumerate() {
             let base = batch * 300 + s as i64;
             let samples: Vec<(i64, f64)> =
                 (0..5).map(|i| (base + i * 60, (batch * 7 + i) as f64 * 0.25 - 3.0)).collect();
-            pipeline.send(id, samples);
+            wal.append_batch(id, &samples).unwrap();
+            store.try_append_batch(id, &samples).unwrap();
         }
     }
-    pipeline.close();
+    wal.sync().unwrap();
     (wal_path, dump(&store, names))
 }
 
@@ -375,13 +384,17 @@ fn snapshot_plus_wal_crash_recovers_everything_durable() {
         SeriesMeta { name: "facility".into(), unit: "kW".into(), interval_hint: 60 };
     let id = store.register(meta.clone());
 
-    // Phase 1 lands through a WAL-backed pipeline and is then snapshotted.
-    let wal1 = WalWriter::create(&scratch.path("wal1.twal"), WalConfig { fsync_every: 1 }).unwrap();
-    let pipeline = store.pipeline_with_wal(wal1);
+    // Phase 1 lands log-then-apply through a WAL and is then snapshotted.
+    let mut wal1 =
+        WalWriter::create(&scratch.path("wal1.twal"), WalConfig { fsync_every: 1 }).unwrap();
+    log_registrations(&store, &mut wal1);
     for b in 0..10i64 {
-        pipeline.send(id, (0..6).map(|i| ((b * 6 + i) * 60, b as f64 + i as f64 * 0.1)).collect());
+        let batch: Vec<(i64, f64)> =
+            (0..6).map(|i| ((b * 6 + i) * 60, b as f64 + i as f64 * 0.1)).collect();
+        wal1.append_batch(id, &batch).unwrap();
+        store.try_append_batch(id, &batch).unwrap();
     }
-    pipeline.close();
+    wal1.sync().unwrap();
     let snap_path = scratch.path("store.tsnap");
     store.snapshot_to_path(&snap_path).unwrap();
     let snapshot_len = store.with_series(id, |s| s.len()).unwrap();

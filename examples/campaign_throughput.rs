@@ -25,27 +25,8 @@ use archer2_repro::workload::OperatingPoint;
 use serde::{Serialize, Value};
 use std::time::Instant;
 
-/// Write a benchmark record, then parse it back and check the keys the
-/// verify script greps for — a malformed record should fail here, not in CI.
-fn write_bench(path: &str, record: Value, required: &[&str]) {
-    struct Raw(Value);
-    impl Serialize for Raw {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    let json = serde_json::to_string_pretty(&Raw(record)).expect("bench record serialises");
-    std::fs::write(path, &json).expect("write benchmark json");
-    let parsed = serde_json::parse_value(&json).expect("benchmark json parses back");
-    let map = parsed.as_map().expect("benchmark json is an object");
-    for key in required {
-        assert!(
-            serde::value::map_get(map, key).is_some(),
-            "benchmark json missing key {key}"
-        );
-    }
-    println!("benchmark record:         {path}");
-}
+mod common;
+use common::write_bench;
 
 /// Aggressive fault rates so even a short window exercises kills, cabinet
 /// trips and repairs on the hot path.

@@ -8,7 +8,7 @@
 use archer2_repro::core::experiment;
 use archer2_repro::core::facility::Archer2Facility;
 use archer2_repro::sim::rng::{Rng, Xoshiro256StarStar};
-use archer2_repro::tsdb::{SeriesMeta, StoreConfig, TsdbStore};
+use archer2_repro::tsdb::{SeriesMeta, TsdbStore};
 
 fn main() {
     let seed = 2022;
@@ -155,7 +155,7 @@ fn telemetry_store_section() {
     const INTERVAL_S: i64 = 900;
     const SAMPLES_PER_NODE: i64 = 30 * 86_400 / INTERVAL_S;
 
-    let store = TsdbStore::new(StoreConfig { shards: 8, channel_capacity: 64, ..StoreConfig::default() });
+    let store = TsdbStore::default();
     let ids: Vec<_> = (0..NODES)
         .map(|n| {
             store.register(SeriesMeta {
@@ -166,7 +166,6 @@ fn telemetry_store_section() {
         })
         .collect();
     let t0 = std::time::Instant::now();
-    let pipeline = store.pipeline();
     for &id in &ids {
         let mut rng = Xoshiro256StarStar::seeded(0x7e1e_3e7e ^ id.0);
         let mut batch = Vec::with_capacity(SAMPLES_PER_NODE as usize);
@@ -185,9 +184,8 @@ fn telemetry_store_section() {
             let jitter = rng.next_below(3) as i64 - 1;
             batch.push((i * INTERVAL_S, (level_w + jitter) as f64));
         }
-        pipeline.send(id, batch);
+        store.append_batch(id, &batch);
     }
-    pipeline.close();
     let elapsed = t0.elapsed().as_secs_f64();
 
     let samples = store.total_samples();
@@ -195,7 +193,7 @@ fn telemetry_store_section() {
     println!("\n## Telemetry store (hpc-tsdb)\n");
     println!(
         "One simulated month of per-node power ({NODES} nodes, {INTERVAL_S} s cadence, \
-         1 W-quantized samples) through the sharded ingest pipeline:\n"
+         1 W-quantized samples), appended one node-month batch at a time by one writer:\n"
     );
     println!("| Quantity | Measured |");
     println!("|---|---|");
@@ -206,7 +204,7 @@ fn telemetry_store_section() {
         (samples * 16) as f64 / bytes as f64
     );
     println!(
-        "| Ingest throughput | {:.1} M samples/s (this machine, 8 shard writers) |",
+        "| Ingest throughput | {:.1} M samples/s (this machine, one writer) |",
         samples as f64 / 1e6 / elapsed
     );
     println!(

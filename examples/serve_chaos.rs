@@ -38,34 +38,15 @@ use serde::{Serialize, Value};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::write_bench;
+
 /// Client sessions hammering through the chaos proxy.
 const CHAOS_SESSIONS: usize = 4;
 /// Client sessions on the clean path (the latency control arm).
 const CLEAN_SESSIONS: usize = 2;
 /// Deliberate slow-loris sessions the server must evict.
 const LORIS_SESSIONS: usize = 3;
-
-/// Write a benchmark record, then parse it back and check the keys the
-/// verify script greps for — a malformed record should fail here, not in CI.
-fn write_bench(path: &str, record: Value, required: &[&str]) {
-    struct Raw(Value);
-    impl Serialize for Raw {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    let json = serde_json::to_string_pretty(&Raw(record)).expect("bench record serialises");
-    std::fs::write(path, &json).expect("write benchmark json");
-    let parsed = serde_json::parse_value(&json).expect("benchmark json parses back");
-    let map = parsed.as_map().expect("benchmark json is an object");
-    for key in required {
-        assert!(
-            serde::value::map_get(map, key).is_some(),
-            "benchmark json missing key {key}"
-        );
-    }
-    println!("benchmark record:         {path}");
-}
 
 /// Exact nearest-rank percentile over sorted microsecond latencies.
 fn pct(sorted_us: &[f64], p: f64) -> f64 {

@@ -39,26 +39,13 @@ use serde::{Serialize, Value};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::write_bench;
+
 /// Shards the grid is partitioned into.
 const SHARDS: usize = 8;
 /// Concurrent worker processes.
 const WORKERS: usize = 4;
-
-/// Write a benchmark record, then parse it back and check the keys the
-/// verify script greps for — a malformed record should fail here, not in CI.
-fn write_bench(path: &str, record: Value, required: &[&str]) {
-    let json = serde_json::to_string_pretty(&record).expect("bench record serialises");
-    std::fs::write(path, &json).expect("write benchmark json");
-    let parsed = serde_json::parse_value(&json).expect("benchmark json parses back");
-    let map = parsed.as_map().expect("benchmark json is an object");
-    for key in required {
-        assert!(
-            serde::value::map_get(map, key).is_some(),
-            "benchmark json missing key {key}"
-        );
-    }
-    println!("benchmark record:          {path}");
-}
 
 /// The sweep grid: one campaign per seed, modest scale so the whole example
 /// (four sweeps of the same grid) stays CI-sized.

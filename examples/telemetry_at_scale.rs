@@ -1,7 +1,8 @@
 //! Telemetry at per-node scale: a simulated month of power samples for the
 //! full 5,860-node ARCHER2 fleet, ingested concurrently into `hpc-tsdb`
-//! through its sharded pipeline, then queried back — sequentially and
-//! through the parallel fan-out engine, cold-cache and warm.
+//! by four writer threads appending straight into its sharded store, then
+//! queried back — sequentially and through the parallel fan-out engine,
+//! cold-cache and warm.
 //!
 //! Reports what the paper's measurement chapter cares about operationally:
 //! how fast the store ingests, how many bytes a compressed sample costs
@@ -30,28 +31,8 @@ use archer2_repro::workload::OperatingPoint;
 use serde::{Serialize, Value};
 use std::time::Instant;
 
-/// Write a benchmark record, then parse it back and check the keys the
-/// verify script greps for — a malformed record should fail here, not in CI.
-fn write_bench(path: &str, record: Value, required: &[&str]) {
-    // The shim's serialiser is generic over `Serialize`, not `Value`.
-    struct Raw(Value);
-    impl Serialize for Raw {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    let json = serde_json::to_string_pretty(&Raw(record)).expect("bench record serialises");
-    std::fs::write(path, &json).expect("write benchmark json");
-    let parsed = serde_json::parse_value(&json).expect("benchmark json parses back");
-    let map = parsed.as_map().expect("benchmark json is an object");
-    for key in required {
-        assert!(
-            serde::value::map_get(map, key).is_some(),
-            "benchmark json missing key {key}"
-        );
-    }
-    println!("benchmark record:         {path}");
-}
+mod common;
+use common::write_bench;
 
 /// Full ARCHER2 fleet (Table 1).
 const NODES: u32 = 5_860;
@@ -97,14 +78,13 @@ fn main() {
     let samples_per_node = days * 86_400 / INTERVAL_S;
     let span = days * 86_400;
 
-    // --- Part 1: a month of per-node telemetry through the pipeline -----
+    // --- Part 1: a month of per-node telemetry into the store -----------
     println!("=== hpc-tsdb: {days} days, {nodes} nodes, {INTERVAL_S}s cadence ===");
     // Cache sized to hold every sealed chunk of the fleet so the warm pass
     // of the query benchmark measures pure cache-hit reads.
     let sealed_per_series = (samples_per_node as usize).div_ceil(512);
     let store = TsdbStore::new(StoreConfig {
         shards: 8,
-        channel_capacity: 64,
         chunk_cache_capacity: (nodes as usize * sealed_per_series).next_power_of_two(),
     });
     let ids: Vec<_> = (0..nodes)
@@ -118,21 +98,22 @@ fn main() {
         .collect();
 
     let t0 = Instant::now();
-    let pipeline = store.pipeline();
     std::thread::scope(|s| {
-        // Four producers, disjoint node ranges, feeding all eight shards.
+        // Four producers, disjoint node ranges, writing across all eight
+        // shards: one shard lock per node-month batch.
         for producer_ids in ids.chunks(ids.len().div_ceil(4)) {
-            let pipeline = &pipeline;
+            let store = &store;
             s.spawn(move || {
                 for &id in producer_ids {
                     // Ids are dense and allocated in node order on this
                     // fresh store, so the id doubles as the node index.
-                    pipeline.send(id, node_month(id.0 as u32, samples_per_node));
+                    store
+                        .try_append_batch(id, &node_month(id.0 as u32, samples_per_node))
+                        .expect("no batch should be rejected");
                 }
             });
         }
     });
-    assert_eq!(pipeline.close(), 0, "no batch should be rejected");
     let elapsed = t0.elapsed();
 
     let samples = store.total_samples();
@@ -278,7 +259,7 @@ fn persist_benchmark(store: &TsdbStore, ids: &[SeriesId], campaign: &Campaign, s
         .expect("a half-written snapshot must not open");
     println!("torn snapshot:     refused ({err})");
 
-    // WAL: ingest through a logged pipeline, tear the tail, replay.
+    // WAL: ingest log-then-apply, tear the tail, replay.
     let wstore = TsdbStore::default();
     let wid = wstore.register(SeriesMeta {
         name: "facility".into(),
@@ -286,17 +267,21 @@ fn persist_benchmark(store: &TsdbStore, ids: &[SeriesId], campaign: &Campaign, s
         interval_hint: INTERVAL_S,
     });
     let wal_path = dir.join("ingest.twal");
-    let wal = WalWriter::create(&wal_path, WalConfig::default()).expect("create wal");
-    let pipeline = wstore.pipeline_with_wal(wal);
+    let mut wal = WalWriter::create(&wal_path, WalConfig::default()).expect("create wal");
+    for (id, meta, _) in wstore.series_catalog() {
+        wal.append_register(id, &meta).expect("log registration");
+    }
     let wal_batches = if smoke { 200 } else { 2_000 };
     for b in 0..wal_batches as i64 {
         let batch: Vec<(i64, f64)> = (0..8)
             .map(|i| ((b * 8 + i) * INTERVAL_S, 2_000.0 + (b % 77) as f64 + i as f64 * 0.125))
             .collect();
-        pipeline.send(wid, batch);
+        wal.append_batch(wid, &batch).expect("log batch");
+        wstore.try_append_batch(wid, &batch).expect("apply batch");
     }
-    let wal_records = pipeline.wal_records();
-    pipeline.close();
+    wal.sync().expect("sync wal");
+    let wal_records = wal.records();
+    drop(wal);
     let written = wstore.with_series(wid, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
 
     // The crash tears the final ~10 % of the log off mid-record.

@@ -44,6 +44,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+mod common;
+use common::write_bench;
+
 /// Concurrent client sessions (split across two tenants).
 const SESSIONS: usize = 8;
 /// Telemetry cadence of the campaign (the default 15 min).
@@ -52,28 +55,6 @@ const INTERVAL_S: i64 = 900;
 const BATCH: usize = 10;
 /// Warm repetitions of the full pool in the read-path phase.
 const WARM_REPS: usize = 20;
-
-/// Write a benchmark record, then parse it back and check the keys the
-/// verify script greps for — a malformed record should fail here, not in CI.
-fn write_bench(path: &str, record: Value, required: &[&str]) {
-    struct Raw(Value);
-    impl Serialize for Raw {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    let json = serde_json::to_string_pretty(&Raw(record)).expect("bench record serialises");
-    std::fs::write(path, &json).expect("write benchmark json");
-    let parsed = serde_json::parse_value(&json).expect("benchmark json parses back");
-    let map = parsed.as_map().expect("benchmark json is an object");
-    for key in required {
-        assert!(
-            serde::value::map_get(map, key).is_some(),
-            "benchmark json missing key {key}"
-        );
-    }
-    println!("benchmark record:         {path}");
-}
 
 fn campaign(start: SimTime) -> Campaign {
     // Per-node telemetry makes ingest heavy enough that the degradation

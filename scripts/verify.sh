@@ -30,6 +30,11 @@ cargo test -q --offline -p archer2-core --lib fault_campaign_tests
 # The node-failure example runs (not just compiles) through the one fault model.
 cargo run --release --offline --example facility_operations >/dev/null
 
+echo "== every table and figure (regenerate_experiments) =="
+# The one program that prints every table, figure and ablation; it also
+# runs the hpc-tsdb direct ingest path.
+cargo run --release --offline --example regenerate_experiments >/dev/null
+
 echo "== benchmark smoke (BENCH_tsdb_query.json, BENCH_tsdb_persist.json) =="
 # Keep the previous record (full-scale or prior smoke run) around as the
 # regression reference before the smoke run overwrites it.
