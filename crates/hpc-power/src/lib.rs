@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod cooling;
-pub mod energy;
 pub mod infra;
 pub mod node;
 pub mod pcap;
@@ -50,7 +49,6 @@ pub mod socket;
 pub mod switch;
 
 pub use cooling::{CoolingPlant, CoolingPower};
-pub use energy::EnergyMeter;
 pub use infra::{CabinetOverheadModel, CduModel, FilesystemModel};
 pub use node::{NodeActivity, NodePowerBreakdown, NodePowerModel, NodeSpec};
 pub use pcap::{CapPlan, PowerCapPlanner};

@@ -22,8 +22,9 @@
 //! construction, so a reply can never cross tenants — a tenant only ever
 //! sees entries its own (identically-budgeted) queries created.
 
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Duration;
 
 /// How long a follower waits on a leader before executing for itself.
@@ -57,18 +58,20 @@ impl Flight {
     }
 
     fn publish(&self, reply: Option<Arc<CachedReply>>) {
-        *self.state.lock().expect("flight lock") = FlightState::Done(reply);
+        *self.state.lock() = FlightState::Done(reply);
         self.cv.notify_all();
     }
 
     /// Wait for the leader's reply up to `timeout`; `None` on timeout or
     /// when the leader had nothing to share.
     pub(crate) fn wait(&self, timeout: Duration) -> Option<Arc<CachedReply>> {
-        let guard = self.state.lock().expect("flight lock");
+        let guard = self.state.lock();
+        // Every update of the state is one assignment, so a guard poisoned
+        // by a panicking holder still sees a valid state.
         let (guard, _) = self
             .cv
             .wait_timeout_while(guard, timeout, |s| matches!(s, FlightState::Pending))
-            .expect("flight lock");
+            .unwrap_or_else(PoisonError::into_inner);
         match &*guard {
             FlightState::Pending => None,
             FlightState::Done(reply) => reply.clone(),
@@ -120,7 +123,7 @@ impl ResultCache {
         if self.capacity == 0 {
             return Lookup::Bypass;
         }
-        let mut inner = self.inner.lock().expect("result cache lock");
+        let mut inner = self.inner.lock();
         if inner.generation != generation {
             inner.entries.clear();
             inner.generation = generation;
@@ -152,7 +155,7 @@ impl ResultCache {
         reply: Option<Arc<CachedReply>>,
     ) {
         flight.publish(reply.clone());
-        let mut inner = self.inner.lock().expect("result cache lock");
+        let mut inner = self.inner.lock();
         if inner.generation == generation {
             match reply {
                 Some(r) => inner.entries.insert(key.to_string(), Slot::Done(r)),

@@ -705,8 +705,8 @@ fn estimate_request(store: &TsdbStore, query: &Request, ids: &[SeriesId]) -> u64
         Request::Aggregate { from, to, op, .. } => {
             estimate_scan(store, ids[0], *from, *to, (*op).into(), true)
         }
-        // Gap queries need individual samples for coverage, so rollup
-        // short-cuts (and zone pruning) never apply to them.
+        // Gap queries always plan a raw fold, so no rollup plan is
+        // costed; zone maps still prune it.
         Request::Gap { from, to, .. } => {
             estimate_scan(store, ids[0], *from, *to, hpc_tsdb::AggOp::Mean, false)
         }

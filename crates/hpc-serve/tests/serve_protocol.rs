@@ -207,6 +207,27 @@ fn bad_query_shapes_are_rejected_and_session_survives() {
     drop(server);
 }
 
+#[test]
+fn served_gap_shows_its_store_work_in_introspect() {
+    // Regression: Gap queries bypassed the counted store read path, so
+    // Introspect attributed zero store work to every served Gap.
+    let (server, addr) = server();
+    let mut client = Client::connect(addr, "gaps").unwrap();
+    match client.request(&Request::Gap { series: "facility".into(), from: 0, to: 600 * 60 }) {
+        Ok(Response::Gap(g)) => assert_eq!((g.count, g.expected), (300, 600)),
+        other => panic!("expected Gap, got {other:?}"),
+    }
+    match client.request(&Request::Introspect).unwrap() {
+        Response::Stats(intro) => {
+            let t = intro.tenants.iter().find(|t| t.tenant == "gaps").expect("tenant");
+            assert_eq!(t.query.queries, 1, "{:?}", t.query);
+            assert!(t.query.samples_scanned > 0, "{:?}", t.query);
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    drop(server);
+}
+
 /// A server whose deadlines are short enough to test eviction quickly.
 fn impatient_server() -> (Server, SocketAddr) {
     let store = TsdbStore::default();

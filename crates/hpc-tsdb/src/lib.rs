@@ -24,11 +24,14 @@
 //!   chunk uid and shared by all store-level queries (sealed chunks are
 //!   immutable and replacement chunks get fresh uids, so entries never
 //!   need invalidation);
-//! - [`query`] — range scans, aligned aggregations (mean/max/p95),
-//!   rollup-aware planning, zone-map pruning, scan-cost estimation
-//!   ([`estimate_scan`]), change-point segment means, and the parallel
-//!   multi-series fan-out layer with per-store [`QueryStats`]
-//!   instrumentation;
+//! - [`query`] — the store-level read path ([`store_aggregate`],
+//!   [`store_windows`], the parallel fan-out [`fanout_aggregate`] /
+//!   [`fanout_group`]): rollup-aware planning and a snapshot under the
+//!   published view or a short shard read lock, then zone-map-pruned
+//!   decode outside any lock through the chunk cache, with every call
+//!   counted in per-store [`QueryStats`]; plus scan-cost estimation
+//!   ([`estimate_scan`]) and [`window_aggregate`] for a series that lives
+//!   in no store;
 //! - [`persist`] — the versioned, checksummed snapshot format
 //!   ([`TsdbStore::snapshot_to`] / [`TsdbStore::open_snapshot`]): series
 //!   metadata, sealed chunks verbatim, rollup state and active tails,
@@ -41,10 +44,9 @@
 //!   mid-write crashes) backing the crash-recovery test suite;
 //! - [`quality`] — the ingest sanitisation stage ([`Sanitizer`]) that
 //!   quarantines implausible samples into a per-series quality mask
-//!   instead of storing them, and gap-aware queries
-//!   ([`store_gap_aggregate`] / [`store_gap_windows`]) that aggregate over
-//!   present samples and report a coverage fraction against the series'
-//!   cadence hint.
+//!   instead of storing them, and the gap-aware [`store_gap_aggregate`],
+//!   which aggregates over present samples through the same read path and
+//!   reports a coverage fraction against the series' cadence hint.
 //!
 //! ## Durability in one example
 //!
@@ -91,13 +93,12 @@ pub use cache::ChunkCache;
 pub use chunk::{ColumnBlock, Zone};
 pub use persist::{PersistError, SnapshotStats};
 pub use quality::{
-    store_gap_aggregate, store_gap_windows, GapAwareValue, GapWindow, QuarantineReason,
-    QuarantinedSample, SampleFate, SanitizeConfig, SanitizeStats, Sanitizer,
+    store_gap_aggregate, GapAwareValue, QuarantineReason, QuarantinedSample, SampleFate,
+    SanitizeConfig, SanitizeStats, Sanitizer,
 };
 pub use query::{
-    aggregate, aligned_windows, estimate_scan, fanout_aggregate, fanout_group, fanout_windows,
-    fanout_workers, segment_means, store_aggregate, store_segment_means, store_windows,
-    window_aggregate, AggOp, GroupValue, Plan, QueryStats, WindowValue,
+    estimate_scan, fanout_aggregate, fanout_group, fanout_workers, store_aggregate,
+    store_windows, window_aggregate, AggOp, GroupValue, Plan, QueryStats, WindowValue,
 };
 pub use rollup::Aggregate;
 pub use series::{Series, SeriesMeta};

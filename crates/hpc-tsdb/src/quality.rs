@@ -13,15 +13,18 @@
 //!   (the per-series quality mask) with their raw value and reason.
 //!   Because quarantined samples never enter the chunks, they can never
 //!   contribute to chunk aggregates or rollup buckets.
-//! - [`store_gap_aggregate`] / [`store_gap_windows`] aggregate over the
-//!   samples that *are* present and report a coverage fraction — present
-//!   samples over the count the series' cadence hint says the window
-//!   should hold — plus the number of quarantined samples in the window,
-//!   so a reader can tell a clean mean from one computed over half a gap.
+//! - [`store_gap_aggregate`] aggregates over the samples that *are*
+//!   present and reports a coverage fraction — present samples over the
+//!   count the series' cadence hint says the window should hold — plus the
+//!   number of quarantined samples in the window, so a reader can tell a
+//!   clean mean from one computed over half a gap. It reads through the
+//!   same two-phase, counted path as every other store-level query (see
+//!   [`query`](crate::query)).
 //!
 //! The quarantine log lives in memory beside the series (it is diagnostic
 //! state, deliberately not part of the snapshot format).
 
+use crate::query::store_raw_aggregate;
 use crate::rollup::Aggregate;
 use serde::{Deserialize, Serialize};
 use crate::series::Series;
@@ -228,23 +231,6 @@ impl GapAwareValue {
     }
 }
 
-/// One gap-aware aligned window.
-#[derive(Debug, Clone, Copy)]
-pub struct GapWindow {
-    /// Window start (inclusive).
-    pub start: i64,
-    /// Mean over present samples (NaN for an all-gap window).
-    pub mean: f64,
-    /// Present samples in the window.
-    pub count: u64,
-    /// Samples the cadence hint expected.
-    pub expected: u64,
-    /// `count / expected`, clamped to `[0, 1]`.
-    pub coverage: f64,
-    /// Quarantined samples in the window.
-    pub quarantined: u64,
-}
-
 fn expected_samples(interval_hint: i64, from: i64, to: i64) -> Option<u64> {
     if interval_hint <= 0 || to <= from {
         return None;
@@ -252,67 +238,23 @@ fn expected_samples(interval_hint: i64, from: i64, to: i64) -> Option<u64> {
     Some(((to - from) as u64).div_ceil(interval_hint as u64))
 }
 
-fn gap_value(series: &Series, from: i64, to: i64) -> GapAwareValue {
-    let agg = series.scan_aggregate(from, to);
-    let quarantined = series.quarantined_in(from, to);
-    match expected_samples(series.meta().interval_hint, from, to) {
-        Some(expected) => {
-            let coverage = (agg.count as f64 / expected as f64).clamp(0.0, 1.0);
-            GapAwareValue { agg, expected, coverage, quarantined }
-        }
-        None => {
-            let expected = agg.count;
-            GapAwareValue { agg, expected, coverage: 1.0, quarantined }
-        }
-    }
-}
-
 /// Gap-aware aggregate of one series over `[from, to)`: moments over the
 /// present samples plus coverage against the series' cadence hint and the
-/// quarantined count. `None` for an unknown id. Reads through the
-/// published view when fresh (quarantines bump the store generation, so a
-/// fresh view's quality mask is current), shard lock otherwise.
+/// quarantined count. `None` for an unknown id. The quality mask is read
+/// in the same snapshot as the samples (quarantines bump the store
+/// generation, so a fresh published view's mask is current).
 pub fn store_gap_aggregate(
     store: &TsdbStore,
     id: SeriesId,
     from: i64,
     to: i64,
 ) -> Option<GapAwareValue> {
-    store.with_series_read(id, |s| gap_value(s, from, to))
-}
-
-/// Gap-aware aligned windows of width `step` covering `[from, to)`.
-/// `None` for an unknown id.
-///
-/// # Panics
-/// Panics if `step <= 0` or `from > to`.
-pub fn store_gap_windows(
-    store: &TsdbStore,
-    id: SeriesId,
-    from: i64,
-    to: i64,
-    step: i64,
-) -> Option<Vec<GapWindow>> {
-    assert!(step > 0, "window step must be positive");
-    assert!(from <= to, "window range reversed");
-    store.with_series_read(id, |s| {
-        let mut out = Vec::new();
-        let mut start = from;
-        while start < to {
-            let end = (start + step).min(to);
-            let v = gap_value(s, start, end);
-            out.push(GapWindow {
-                start,
-                mean: v.agg.mean(),
-                count: v.agg.count,
-                expected: v.expected,
-                coverage: v.coverage,
-                quarantined: v.quarantined,
-            });
-            start = end;
-        }
-        out
-    })
+    let (agg, quarantined, interval_hint) = store_raw_aggregate(store, id, from, to)?;
+    let (expected, coverage) = match expected_samples(interval_hint, from, to) {
+        Some(expected) => (expected, (agg.count as f64 / expected as f64).clamp(0.0, 1.0)),
+        None => (agg.count, 1.0),
+    };
+    Some(GapAwareValue { agg, expected, coverage, quarantined })
 }
 
 #[cfg(test)]
@@ -430,20 +372,47 @@ mod tests {
                 kept.push((i * 60, v));
             }
         }
-        let windows = store_gap_windows(&store, id, 0, 240 * 60, 3_600).unwrap();
-        assert_eq!(windows.len(), 4);
-        for w in &windows {
+        for start in (0..240 * 60).step_by(3_600) {
+            let w = store_gap_aggregate(&store, id, start, start + 3_600).unwrap();
             let slice: Vec<f64> = kept
                 .iter()
-                .filter(|&&(t, _)| t >= w.start && t < w.start + 3_600)
+                .filter(|&&(t, _)| t >= start && t < start + 3_600)
                 .map(|&(_, v)| v)
                 .collect();
-            assert_eq!(w.count, slice.len() as u64);
+            assert_eq!(w.agg.count, slice.len() as u64);
             assert_eq!(w.expected, 60);
             let brute = slice.iter().sum::<f64>() / slice.len() as f64;
-            assert!((w.mean - brute).abs() < 1e-9);
+            assert!((w.mean() - brute).abs() < 1e-9);
             assert!((w.coverage - slice.len() as f64 / 60.0).abs() < 1e-12);
             assert_eq!(w.quarantined, 20, "a third of 60 samples quarantined");
         }
+    }
+
+    #[test]
+    fn gap_queries_decode_through_the_cache_and_count_their_work() {
+        // Regression: the gap path decoded inside the shard lock, straight
+        // from the chunks, and recorded nothing in `QueryStats`.
+        let (store, id) = store_with("m");
+        let n = i64::from(crate::series::CHUNK_SAMPLES) * 2 + 50;
+        for i in 0..n {
+            store.append(id, i * 60, 100.0 + (i % 11) as f64);
+        }
+        // A ragged start cuts into the first sealed chunk, so it must decode.
+        let (from, to) = (90, n * 60);
+        store.reset_query_stats();
+        let cold = store_gap_aggregate(&store, id, from, to).unwrap();
+        let s = store.query_stats();
+        assert_eq!((s.queries, s.plans_raw), (1, 1));
+        assert!(s.chunks_decoded >= 1, "cold gap read decodes: {s:?}");
+        assert!(s.samples_scanned > 0);
+        let warm = store_gap_aggregate(&store, id, from, to).unwrap();
+        let d = store.query_stats().delta_since(&s);
+        assert_eq!((d.queries, d.plans_raw), (1, 1));
+        assert_eq!(d.chunks_decoded, 0, "warm gap read is served by the chunk cache");
+        assert!(d.chunk_cache_hits >= 1);
+        assert_eq!(warm.agg.sum.to_bits(), cold.agg.sum.to_bits());
+        let direct = store.with_series(id, |s| s.scan_aggregate(from, to)).unwrap();
+        assert_eq!(cold.agg.sum.to_bits(), direct.sum.to_bits());
+        assert_eq!(cold.agg.count, direct.count);
     }
 }

@@ -1,6 +1,6 @@
-//! Query engine: time-range scans, aligned window aggregations,
-//! change-point segment means and multi-series fan-out, with rollup-aware
-//! planning, a decoded-chunk cache and per-store instrumentation.
+//! Query engine: aggregations over a time range or aligned windows and
+//! multi-series fan-out, with rollup-aware planning, a decoded-chunk cache
+//! and per-store instrumentation.
 //!
 //! Planning rule: an aggregation whose window is aligned to a rollup
 //! level's grid is served from that level's buckets — coarsest level
@@ -10,20 +10,23 @@
 //!
 //! ## Locking discipline (store-level queries)
 //!
-//! Store-level entry points ([`store_aggregate`], [`store_windows`], the
-//! `fanout_*` family) evaluate in two phases. The planning/snapshot phase
-//! reads the series through [`TsdbStore::with_series_read`]: when the
-//! store's published [`ReadView`](crate::ReadView) is still at the current
-//! generation, it runs against the frozen series with **no shard lock at
-//! all**; otherwise it falls back to a **short shard read lock** to plan,
-//! compose rollup buckets, clone the handles of the sealed chunks a raw
-//! scan needs (an `O(1)` refcount bump per chunk) and copy out the small
-//! active chunk. Either way the second phase — all Gorilla decode, the
-//! expensive part — runs lock-free against immutable sealed chunks,
-//! through the store's [`ChunkCache`](crate::cache::ChunkCache). A query
-//! therefore never holds a shard lock across a decode; against a fresh
-//! view it never takes one, and against a stale view concurrent writers
-//! are stalled only for the snapshot instant.
+//! Every store-level entry point ([`store_aggregate`], [`store_windows`],
+//! [`fanout_aggregate`], [`fanout_group`] and the gap-aware
+//! [`store_gap_aggregate`](crate::quality::store_gap_aggregate)) evaluates
+//! in the same two phases and counts its work in [`QueryStats`]. The
+//! planning/snapshot phase reads the series through
+//! [`TsdbStore::with_series_read`]: when the store's published
+//! [`ReadView`](crate::ReadView) is still at the current generation, it
+//! runs against the frozen series with **no shard lock at all**; otherwise
+//! it falls back to a **short shard read lock** to plan, compose rollup
+//! buckets, clone the handles of the sealed chunks a raw scan needs (an
+//! `O(1)` refcount bump per chunk) and copy out the small active chunk.
+//! Either way the second phase — all Gorilla decode, the expensive part —
+//! runs lock-free against immutable sealed chunks, through the store's
+//! [`ChunkCache`](crate::cache::ChunkCache). A query therefore never holds
+//! a shard lock across a decode; against a fresh view it never takes one,
+//! and against a stale view concurrent writers are stalled only for the
+//! snapshot instant.
 
 use crate::chunk::Chunk;
 use crate::rollup::Aggregate;
@@ -145,81 +148,16 @@ fn percentile(mut values: Vec<f64>, p: f64) -> f64 {
 
 /// Full-moment aggregate over `[from, to)` with rollup-aware planning:
 /// served from the coarsest aligned rollup level, falling back to a raw
-/// scan. This is the primitive `aggregate` and `aligned_windows` build on,
-/// and what `hpc-telemetry` windows map to.
+/// scan that decodes directly. This is the one entry point for a series
+/// that lives in no store (what `hpc-telemetry` windows map to); series in
+/// a [`TsdbStore`] are read through the store-level entry points below,
+/// which share the store's chunk cache and count their work in
+/// [`QueryStats`].
 pub fn window_aggregate(series: &Series, from: i64, to: i64) -> Aggregate {
     match plan_aggregate(series, from, to, AggOp::Mean) {
         Plan::RawScan => series.scan_aggregate(from, to),
         rollup => rollup_window(series, from, to, rollup),
     }
-}
-
-/// Aggregate one series over `[from, to)` with rollup-aware planning.
-/// Returns the value and the plan that produced it.
-pub fn aggregate(series: &Series, from: i64, to: i64, op: AggOp) -> (f64, Plan) {
-    let plan = plan_aggregate(series, from, to, op);
-    let value = if op == AggOp::P95 {
-        let vals: Vec<f64> = series.scan(from, to).into_iter().map(|(_, v)| v).collect();
-        percentile(vals, 95.0)
-    } else {
-        let agg = match plan {
-            Plan::RawScan => series.scan_aggregate(from, to),
-            rollup => rollup_window(series, from, to, rollup),
-        };
-        finish(op, &agg)
-    };
-    (value, plan)
-}
-
-/// Split `[from, to)` into consecutive `step`-second windows and aggregate
-/// each (windows aligned to `from`).
-///
-/// # Panics
-/// Panics if `step <= 0` or `from > to`.
-pub fn aligned_windows(
-    series: &Series,
-    from: i64,
-    to: i64,
-    step: i64,
-    op: AggOp,
-) -> Vec<WindowValue> {
-    assert!(step > 0, "window step must be positive");
-    assert!(from <= to, "window range reversed");
-    let mut out = Vec::new();
-    let mut start = from;
-    while start < to {
-        let end = (start + step).min(to);
-        let (value, count) = if op == AggOp::P95 {
-            // One raw scan yields both the percentile and the count; the
-            // former `window_aggregate` + `aggregate` pair scanned each
-            // window twice.
-            let vals: Vec<f64> = series.scan(start, end).into_iter().map(|(_, v)| v).collect();
-            let count = vals.len() as u64;
-            (percentile(vals, 95.0), count)
-        } else {
-            let agg = window_aggregate(series, start, end);
-            (finish(op, &agg), agg.count)
-        };
-        out.push(WindowValue { start, value, count });
-        start = end;
-    }
-    out
-}
-
-/// Mean of each segment between consecutive change points: boundaries
-/// `[b₀, b₁, …, bₙ]` produce n segment means over `[bᵢ, bᵢ₊₁)`.
-///
-/// # Panics
-/// Panics if fewer than two boundaries are given or they are not sorted.
-pub fn segment_means(series: &Series, boundaries: &[i64]) -> Vec<f64> {
-    assert!(boundaries.len() >= 2, "need at least two boundaries");
-    boundaries
-        .windows(2)
-        .map(|w| {
-            assert!(w[0] <= w[1], "boundaries must be sorted");
-            aggregate(series, w[0], w[1], AggOp::Mean).0
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -611,8 +549,8 @@ pub fn store_aggregate(
     out
 }
 
-/// Store-level [`aligned_windows`]: split `[from, to)` into `step`-second
-/// windows and aggregate each, planning per window and serving raw windows
+/// Split `[from, to)` into consecutive `step`-second windows (aligned to
+/// `from`) and aggregate each, planning per window and serving raw windows
 /// from one shared snapshot through the chunk cache.
 ///
 /// # Panics
@@ -631,30 +569,34 @@ pub fn store_windows(
     out
 }
 
-/// Store-level [`segment_means`]: mean of each `[bᵢ, bᵢ₊₁)` segment.
-///
-/// # Panics
-/// Panics if fewer than two boundaries are given or they are not sorted.
-pub fn store_segment_means(
+/// Raw-planned aggregate of one series over `[from, to)`, for the reads
+/// that need every present sample (gap-aware coverage never composes
+/// rollup buckets). Same two phases and same [`QueryStats`] accounting as
+/// [`store_aggregate`]: the snapshot, the quarantined count in the window
+/// and the cadence hint are read together under the published view or a
+/// short shard read lock, and the fold runs outside any lock through the
+/// chunk cache. The aggregate is bit-identical to
+/// [`Series::scan_aggregate`] over the same window. Returns
+/// `(aggregate, quarantined, interval_hint)`, or `None` for an unknown id.
+pub(crate) fn store_raw_aggregate(
     store: &TsdbStore,
     id: SeriesId,
-    boundaries: &[i64],
-) -> Option<Vec<f64>> {
-    assert!(boundaries.len() >= 2, "need at least two boundaries");
+    from: i64,
+    to: i64,
+) -> Option<(Aggregate, u64, i64)> {
     let t = Instant::now();
-    let mut out = Vec::with_capacity(boundaries.len() - 1);
-    for w in boundaries.windows(2) {
-        assert!(w[0] <= w[1], "boundaries must be sorted");
-        match aggregate_inner(store, id, w[0], w[1], AggOp::Mean) {
-            Some((mean, _)) => out.push(mean),
-            None => {
-                store.query_counters().add_wall(t);
-                return None;
-            }
-        }
-    }
-    store.query_counters().add_wall(t);
-    Some(out)
+    let counters = store.query_counters();
+    counters.record_query();
+    let out = store
+        .with_series_read(id, |s| {
+            (raw_snapshot(s, from, to), s.quarantined_in(from, to), s.meta().interval_hint)
+        })
+        .map(|(snap, quarantined, hint)| {
+            counters.record_plan(Plan::RawScan);
+            (snapshot_aggregate(store, &snap, from, to), quarantined, hint)
+        });
+    counters.add_wall(t);
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -723,28 +665,6 @@ pub fn fanout_aggregate(
 ) -> Vec<Option<(f64, Plan)>> {
     let t = Instant::now();
     let out = fanout_map(ids, |id| aggregate_inner(store, id, from, to, op));
-    store.query_counters().add_wall(t);
-    out
-}
-
-/// Windowed aggregation of many series concurrently (the fan-out form of
-/// [`store_windows`]). Results are in input order; `None` marks an unknown
-/// id.
-///
-/// # Panics
-/// Panics if `step <= 0` or `from > to`.
-pub fn fanout_windows(
-    store: &TsdbStore,
-    ids: &[SeriesId],
-    from: i64,
-    to: i64,
-    step: i64,
-    op: AggOp,
-) -> Vec<Option<Vec<WindowValue>>> {
-    assert!(step > 0, "window step must be positive");
-    assert!(from <= to, "window range reversed");
-    let t = Instant::now();
-    let out = fanout_map(ids, |id| windows_inner(store, id, from, to, step, op));
     store.query_counters().add_wall(t);
     out
 }
@@ -890,31 +810,51 @@ mod tests {
         assert_eq!(plan_aggregate(&s, 0, 86_400, AggOp::P95), Plan::RawScan);
     }
 
+    /// One series in a fresh store, sampled every minute from `t = 0`.
+    fn store_with(n: u32, f: impl Fn(u32) -> f64) -> (TsdbStore, SeriesId) {
+        let store = TsdbStore::default();
+        let id = store.register(SeriesMeta {
+            name: "q".into(),
+            unit: "kW".into(),
+            interval_hint: 60,
+        });
+        for i in 0..n {
+            store.append(id, i64::from(i) * 60, f(i));
+        }
+        (store, id)
+    }
+
     #[test]
     fn all_plans_agree_on_the_same_window() {
-        let s = series_with(2 * 24 * 60, |i| (f64::from(i) * 0.11).sin() * 300.0 + 2800.0);
+        let (store, id) =
+            store_with(2 * 24 * 60, |i| (f64::from(i) * 0.11).sin() * 300.0 + 2800.0);
         let from = 6 * 3600;
         let to = 18 * 3600;
-        let (hourly, plan) = aggregate(&s, from, to, AggOp::Mean);
+        let agg = |op| store_aggregate(&store, id, from, to, op).unwrap();
+        let (hourly, plan) = agg(AggOp::Mean);
         assert_eq!(plan, Plan::HourRollup);
-        let raw = s.scan_aggregate(from, to);
+        let (raw, minutes) = store
+            .with_series(id, |s| {
+                let mut minutes = Aggregate::new();
+                for b in s.minutes().buckets_in(from, to) {
+                    minutes.merge(&b.agg);
+                }
+                (s.scan_aggregate(from, to), minutes)
+            })
+            .unwrap();
         assert!((hourly - raw.mean()).abs() < 1e-9, "rollup {hourly} vs raw {}", raw.mean());
-        let mut minutes = Aggregate::new();
-        for b in s.minutes().buckets_in(from, to) {
-            minutes.merge(&b.agg);
-        }
         assert!((minutes.mean() - raw.mean()).abs() < 1e-9);
         // Min/max/sum/count too.
-        assert_eq!(aggregate(&s, from, to, AggOp::Min).0, raw.min);
-        assert_eq!(aggregate(&s, from, to, AggOp::Max).0, raw.max);
-        assert!((aggregate(&s, from, to, AggOp::Sum).0 - raw.sum).abs() < 1e-6);
-        assert_eq!(aggregate(&s, from, to, AggOp::Count).0, raw.count as f64);
+        assert_eq!(agg(AggOp::Min).0, raw.min);
+        assert_eq!(agg(AggOp::Max).0, raw.max);
+        assert!((agg(AggOp::Sum).0 - raw.sum).abs() < 1e-6);
+        assert_eq!(agg(AggOp::Count).0, raw.count as f64);
     }
 
     #[test]
     fn p95_nearest_rank() {
-        let s = series_with(100, f64::from); // 0..99
-        let (p, plan) = aggregate(&s, 0, 100 * 60, AggOp::P95);
+        let (store, id) = store_with(100, f64::from); // 0..99
+        let (p, plan) = store_aggregate(&store, id, 0, 100 * 60, AggOp::P95).unwrap();
         assert_eq!(plan, Plan::RawScan);
         assert_eq!(p, 94.0); // ceil(0.95 * 100) = 95th of 1-indexed sorted
         let exact = percentile((0..5).map(f64::from).collect(), 95.0);
@@ -924,8 +864,8 @@ mod tests {
 
     #[test]
     fn aligned_windows_cover_range() {
-        let s = series_with(24 * 60, |i| f64::from(i / 60)); // value = hour index
-        let windows = aligned_windows(&s, 0, 86_400, 3600, AggOp::Mean);
+        let (store, id) = store_with(24 * 60, |i| f64::from(i / 60)); // value = hour index
+        let windows = store_windows(&store, id, 0, 86_400, 3600, AggOp::Mean).unwrap();
         assert_eq!(windows.len(), 24);
         for (h, w) in windows.iter().enumerate() {
             assert_eq!(w.start, h as i64 * 3600);
@@ -935,33 +875,8 @@ mod tests {
     }
 
     #[test]
-    fn segment_means_between_change_points() {
-        // Step function: 3220 then 3010 then 2530 (the paper's campaign
-        // shape), 1000 minutes each.
-        let s = series_with(3000, |i| match i / 1000 {
-            0 => 3220.0,
-            1 => 3010.0,
-            _ => 2530.0,
-        });
-        let b = [0i64, 1000 * 60, 2000 * 60, 3000 * 60];
-        let means = segment_means(&s, &b);
-        assert_eq!(means.len(), 3);
-        assert!((means[0] - 3220.0).abs() < 1e-9);
-        assert!((means[1] - 3010.0).abs() < 1e-9);
-        assert!((means[2] - 2530.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn store_level_query() {
-        let store = TsdbStore::default();
-        let id = store.register(SeriesMeta {
-            name: "fac".into(),
-            unit: "kW".into(),
-            interval_hint: 60,
-        });
-        for i in 0..120 {
-            store.append(id, i64::from(i) * 60, 100.0);
-        }
+        let (store, id) = store_with(120, |_| 100.0);
         let (mean, _) = store_aggregate(&store, id, 0, 7200, AggOp::Mean).unwrap();
         assert!((mean - 100.0).abs() < 1e-12);
         assert!(store_aggregate(&store, SeriesId(999), 0, 1, AggOp::Mean).is_none());
@@ -1005,19 +920,6 @@ mod tests {
                     sv == fv || (sv.is_nan() && fv.is_nan()),
                     "fan-out {fv} != sequential {sv} for {op:?}"
                 );
-            }
-        }
-        // Windowed form, with a step that straddles chunk boundaries.
-        let seq: Vec<_> =
-            ids.iter().map(|&id| store_windows(&store, id, from, to, 7 * 60, AggOp::P95)).collect();
-        let fan = fanout_windows(&store, &ids, from, to, 7 * 60, AggOp::P95);
-        for (s, f) in seq.iter().zip(&fan) {
-            let (s, f) = (s.as_ref().unwrap(), f.as_ref().unwrap());
-            assert_eq!(s.len(), f.len());
-            for (a, b) in s.iter().zip(f) {
-                assert_eq!(a.start, b.start);
-                assert_eq!(a.count, b.count);
-                assert!(a.value == b.value || (a.value.is_nan() && b.value.is_nan()));
             }
         }
     }
@@ -1133,30 +1035,14 @@ mod tests {
     fn empty_window_contract_for_every_op() {
         // Regression: Sum answered 0.0 on an empty window, making "no
         // samples" indistinguishable from "all zeros". The contract is
-        // now NaN for every value-typed operator and 0 for Count — at
-        // series level, store level, and in windowed form.
-        let s = series_with(100, |_| 0.0); // all-zero values, ts 0..6000
+        // now NaN for every value-typed operator and 0 for Count — for
+        // one window and in windowed form.
+        let (store, id) = store_with(100, |_| 0.0); // all-zero values, ts 0..6000
         let empty = (50_000i64, 60_000i64); // far past the data
-        for op in [AggOp::Mean, AggOp::Min, AggOp::Max, AggOp::Sum, AggOp::P95] {
-            let (v, _) = aggregate(&s, empty.0, empty.1, op);
-            assert!(v.is_nan(), "{op:?} on empty window answered {v}");
-        }
-        let (c, _) = aggregate(&s, empty.0, empty.1, AggOp::Count);
-        assert_eq!(c, 0.0, "Count on empty window is genuinely zero");
         // An all-zero window must stay distinguishable: Sum answers 0.0
         // with a non-zero count.
-        let (zero_sum, _) = aggregate(&s, 0, 6000, AggOp::Sum);
+        let (zero_sum, _) = store_aggregate(&store, id, 0, 6000, AggOp::Sum).unwrap();
         assert_eq!(zero_sum, 0.0);
-
-        let store = TsdbStore::default();
-        let id = store.register(SeriesMeta {
-            name: "e".into(),
-            unit: "kW".into(),
-            interval_hint: 60,
-        });
-        for i in 0..100 {
-            store.append(id, i64::from(i) * 60, 0.0);
-        }
         for op in [AggOp::Mean, AggOp::Min, AggOp::Max, AggOp::Sum, AggOp::P95] {
             let (v, _) = store_aggregate(&store, id, empty.0, empty.1, op).unwrap();
             assert!(v.is_nan(), "store-level {op:?} on empty window answered {v}");
@@ -1251,18 +1137,5 @@ mod tests {
                 assert_eq!(ragged, u64::from(s.chunks()[0].len()));
             })
             .unwrap();
-    }
-
-    #[test]
-    fn store_segment_means_match_series_level() {
-        let (store, ids) = populated_store(1, 3000);
-        let b = [0i64, 1000 * 60, 2000 * 60, 3000 * 60];
-        let cached = store_segment_means(&store, ids[0], &b).unwrap();
-        let direct = store.with_series(ids[0], |s| segment_means(s, &b)).unwrap();
-        assert_eq!(cached.len(), direct.len());
-        for (c, d) in cached.iter().zip(&direct) {
-            assert!((c - d).abs() <= 1e-9 * d.abs().max(1.0));
-        }
-        assert!(store_segment_means(&store, SeriesId(777), &b).is_none());
     }
 }

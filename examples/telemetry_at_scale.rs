@@ -22,10 +22,9 @@ use archer2_repro::core::campaign::{Campaign, CampaignConfig};
 use archer2_repro::core::experiment;
 use archer2_repro::prelude::*;
 use archer2_repro::sim::rng::{Rng, Xoshiro256StarStar};
-use archer2_repro::tsdb::query::{aggregate, aligned_windows, AggOp};
 use archer2_repro::tsdb::{
-    fanout_aggregate, fanout_group, fanout_workers, recover, store_aggregate, SeriesId,
-    SeriesMeta, StoreConfig, TsdbStore, WalConfig, WalWriter,
+    fanout_aggregate, fanout_group, fanout_workers, recover, store_aggregate, store_windows,
+    AggOp, SeriesId, SeriesMeta, StoreConfig, TsdbStore, WalConfig, WalWriter,
 };
 use archer2_repro::workload::OperatingPoint;
 use serde::{Serialize, Value};
@@ -130,14 +129,10 @@ fn main() {
     let fleet_mean_w = store.global_aggregate().mean();
     println!("fleet mean draw:   {:.0} W/node ({:.0} kW over compute nodes)", fleet_mean_w, fleet_mean_w * f64::from(nodes) / 1000.0);
     let t_q = Instant::now();
-    let (p95, plan) = store
-        .with_series(ids[17], |s| aggregate(s, 0, span, AggOp::P95))
-        .unwrap();
+    let (p95, plan) = store_aggregate(&store, ids[17], 0, span, AggOp::P95).unwrap();
     println!("node.17 month p95: {p95:.0} W (plan: {plan:?}, {:.1} ms)", t_q.elapsed().as_secs_f64() * 1e3);
     let t_q = Instant::now();
-    let daily = store
-        .with_series(ids[17], |s| aligned_windows(s, 0, span, 86_400, AggOp::Mean))
-        .unwrap();
+    let daily = store_windows(&store, ids[17], 0, span, 86_400, AggOp::Mean).unwrap();
     println!(
         "node.17 daily means: {:.0}..{:.0} W over {} days (rollup-planned, {:.1} ms)",
         daily.iter().map(|w| w.value).fold(f64::INFINITY, f64::min),

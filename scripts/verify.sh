@@ -35,6 +35,11 @@ echo "== every table and figure (regenerate_experiments) =="
 # runs the hpc-tsdb direct ingest path.
 cargo run --release --offline --example regenerate_experiments >/dev/null
 
+echo "== benchmark package (examples/bench: unit tests + 1/40-scale smoke) =="
+# The package is outside the workspace, so no step above compiles it.
+# --locked fails on a stale examples/bench/Cargo.lock instead of rewriting it.
+cargo test --release --offline --locked --manifest-path examples/bench/Cargo.toml
+
 echo "== benchmark smoke (BENCH_tsdb_query.json, BENCH_tsdb_persist.json) =="
 # Keep the previous record (full-scale or prior smoke run) around as the
 # regression reference before the smoke run overwrites it.

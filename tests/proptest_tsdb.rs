@@ -4,9 +4,9 @@
 //! timestamp spacing, and rollup-planned aggregates must agree with raw
 //! chunk scans on any aligned window.
 
-use archer2_repro::tsdb::query::{aligned_windows, window_aggregate, AggOp};
+use archer2_repro::tsdb::query::{window_aggregate, AggOp};
 use archer2_repro::tsdb::{
-    fanout_aggregate, store_aggregate, store_gap_aggregate, store_gap_windows, Aggregate,
+    fanout_aggregate, store_aggregate, store_gap_aggregate, store_windows, Aggregate,
     SampleFate, SanitizeConfig, Sanitizer, Series, SeriesMeta, TsdbStore,
 };
 use proptest::prelude::*;
@@ -202,17 +202,20 @@ proptest! {
     ) {
         // Windowing is a partition: counts sum to the total and every
         // window mean stays inside the window's own min/max.
-        let mut s = Series::new(meta());
+        let store = TsdbStore::default();
+        let id = store.register(meta());
         for (i, &v) in vals.iter().enumerate() {
-            s.append(i as i64 * 60, v);
+            store.append(id, i as i64 * 60, v);
         }
         let span = vals.len() as i64 * 60;
-        let windows = aligned_windows(&s, 0, span, step_minutes * 60, AggOp::Mean);
+        let step = step_minutes * 60;
+        let windows = store_windows(&store, id, 0, span, step, AggOp::Mean).unwrap();
         let total: u64 = windows.iter().map(|w| w.count).sum();
         prop_assert_eq!(total, vals.len() as u64);
         for w in &windows {
             if w.count > 0 {
-                let agg = s.scan_aggregate(w.start, w.start + step_minutes * 60);
+                let agg =
+                    store.with_series(id, |s| s.scan_aggregate(w.start, w.start + step)).unwrap();
                 prop_assert!(w.value >= agg.min - 1e-9 && w.value <= agg.max + 1e-9);
             }
         }
@@ -506,28 +509,33 @@ proptest! {
         stream in arb_meter_stream(),
         step_minutes in 1i64..120,
     ) {
-        // Windowing over [0, span) is a partition of the stored samples at
-        // non-negative timestamps, and each window independently agrees
-        // with the single-window gap aggregate over its own range.
-        let (store, id, kept, _) = sanitise_stream(&stream);
+        // Consecutive gap-aware windows over [0, span) partition the stored
+        // samples at non-negative timestamps, and each window agrees with
+        // a brute-force scan of the stored samples in its own range.
+        let (store, id, kept, quarantined_ts) = sanitise_stream(&stream);
         let span = kept.iter().map(|&(t, _)| t + 1).max().unwrap_or(0).max(1);
         let step = step_minutes * 60;
-        let windows = store_gap_windows(&store, id, 0, span, step).unwrap();
 
-        let total: u64 = windows.iter().map(|w| w.count).sum();
-        let stored_nonneg = kept.iter().filter(|&&(t, _)| t >= 0).count() as u64;
-        prop_assert_eq!(total, stored_nonneg);
-
-        for w in &windows {
-            let end = (w.start + step).min(span);
-            let g = store_gap_aggregate(&store, id, w.start, end).unwrap();
-            prop_assert_eq!(w.count, g.agg.count);
-            prop_assert_eq!(w.expected, g.expected);
-            prop_assert_eq!(w.quarantined, g.quarantined);
-            prop_assert!((w.coverage - g.coverage).abs() < 1e-12);
-            if w.count > 0 {
-                prop_assert!((w.mean - g.mean()).abs() < 1e-9);
+        let mut total = 0u64;
+        for start in (0..span).step_by(step as usize) {
+            let end = (start + step).min(span);
+            let g = store_gap_aggregate(&store, id, start, end).unwrap();
+            total += g.agg.count;
+            let in_window: Vec<f64> = kept
+                .iter()
+                .filter(|&&(t, _)| t >= start && t < end)
+                .map(|&(_, v)| v)
+                .collect();
+            prop_assert_eq!(g.agg.count, in_window.len() as u64);
+            prop_assert_eq!(g.expected, ((end - start) as u64).div_ceil(60));
+            let q_in = quarantined_ts.iter().filter(|&&t| t >= start && t < end).count();
+            prop_assert_eq!(g.quarantined, q_in as u64);
+            if !in_window.is_empty() {
+                let mean = in_window.iter().sum::<f64>() / in_window.len() as f64;
+                prop_assert!((g.mean() - mean).abs() < 1e-9);
             }
         }
+        let stored_nonneg = kept.iter().filter(|&&(t, _)| t >= 0).count() as u64;
+        prop_assert_eq!(total, stored_nonneg);
     }
 }

@@ -11,8 +11,8 @@
 use archer2_repro::core::campaign::{Campaign, CampaignConfig};
 use archer2_repro::core::experiment::scaled_facility;
 use archer2_repro::prelude::*;
-use archer2_repro::tsdb::query::{aggregate, segment_means, AggOp};
-use archer2_repro::tsdb::{fanout_aggregate, fanout_group, store_segment_means};
+use archer2_repro::telemetry::{ChangePoint, SegmentSummary};
+use archer2_repro::tsdb::{fanout_aggregate, fanout_group, store_aggregate, AggOp};
 use archer2_repro::workload::{GeneratorConfig, OperatingPoint};
 
 const SCALE: u32 = 10;
@@ -67,18 +67,9 @@ fn cabinet_series_sum_to_facility_series_inside_the_store() {
 
     // Aggregate-level reconciliation through the query planner: summed
     // cabinet means equal the facility mean well inside the noise floor.
-    let fac_mean = aggregate(
-        &store.with_series(c.facility_series_id(), Clone::clone).unwrap(),
-        from,
-        to,
-        AggOp::Mean,
-    )
-    .0;
-    let cab_mean: f64 = c
-        .cabinet_series_ids()
-        .iter()
-        .map(|&sid| store.with_series(sid, |s| aggregate(s, from, to, AggOp::Mean).0).unwrap())
-        .sum();
+    let mean = |sid| store_aggregate(store, sid, from, to, AggOp::Mean).unwrap().0;
+    let fac_mean = mean(c.facility_series_id());
+    let cab_mean: f64 = c.cabinet_series_ids().iter().map(|&sid| mean(sid)).sum();
     assert!(
         (cab_mean - fac_mean).abs() / fac_mean < 0.01,
         "cabinet mean sum {cab_mean} kW vs facility mean {fac_mean} kW"
@@ -89,7 +80,7 @@ fn cabinet_series_sum_to_facility_series_inside_the_store() {
     let ids = c.cabinet_series_ids();
     let fanned = fanout_aggregate(store, ids, from, to, AggOp::Mean);
     for (&sid, f) in ids.iter().zip(&fanned) {
-        let seq = store.with_series(sid, |s| aggregate(s, from, to, AggOp::Mean).0).unwrap();
+        let seq = mean(sid);
         let fan = f.unwrap().0;
         assert!(
             (fan - seq).abs() <= 1e-9 * seq.abs().max(1.0),
@@ -127,14 +118,12 @@ fn change_point_means_read_back_through_tsdb_queries() {
     c.set_operating_point(OperatingPoint::AFTER_FREQ);
     c.run_until(end);
 
-    let series = c
-        .telemetry_store()
-        .with_series(c.facility_series_id(), Clone::clone)
-        .unwrap();
+    let store = c.telemetry_store();
+    let sid = c.facility_series_id();
     let settle = SimDuration::from_days(2);
     let ts = |t: SimTime| t.as_unix() as i64;
 
-    // Settled segment means via the rollup-aware aggregate, scaled back to
+    // Settled segment means through the store's query path, scaled back to
     // full-facility kilowatts. Paper: 3,220 / 3,010 / 2,530 kW, ±2 %.
     let expectations = [
         (ts(start), ts(bios), 3220.0),
@@ -142,46 +131,37 @@ fn change_point_means_read_back_through_tsdb_queries() {
         (ts(freq + settle), ts(end), 2530.0),
     ];
     for (from, to, paper_kw) in expectations {
-        let (mean, plan) = aggregate(&series, from, to, AggOp::Mean);
+        let (mean, plan) = store_aggregate(store, sid, from, to, AggOp::Mean).unwrap();
         let mean_kw = mean * k;
         assert!(
             (mean_kw - paper_kw).abs() / paper_kw < 0.02,
             "segment [{from}, {to}) mean {mean_kw:.0} kW vs paper {paper_kw} kW (plan {plan:?})"
         );
-        // The cached, instrumented store path reads back the same number
-        // the series-level planner produced, within 1e-9 relative.
-        let (cached, _) = archer2_repro::tsdb::store_aggregate(
-            c.telemetry_store(),
-            c.facility_series_id(),
-            from,
-            to,
-            AggOp::Mean,
-        )
-        .unwrap();
-        assert!(
-            (cached - mean).abs() <= 1e-9 * mean.abs().max(1.0),
-            "cached {cached} vs sequential {mean}"
-        );
     }
 
-    // The change-point segment-means helper sees the same staircase
-    // (boundaries unsettled, so just require strictly decreasing steps).
-    let boundaries = [ts(start), ts(bios), ts(freq), ts(end)];
-    let means = segment_means(&series, &boundaries);
-    assert_eq!(means.len(), 3);
+    // The figures' change-point summary over the campaign's power series
+    // sees the same staircase (boundaries unsettled, so just require
+    // strictly decreasing steps).
+    let power = c.power_series();
+    let changes = [ChangePoint::new(bios, "BIOS"), ChangePoint::new(freq, "frequency")];
+    let summary = SegmentSummary::compute(&power, &changes);
+    assert_eq!(summary.len(), 3);
     assert!(
-        means[0] > means[1] && means[1] > means[2],
-        "segment means should step down: {means:?}"
+        summary.means[0] > summary.means[1] && summary.means[1] > summary.means[2],
+        "segment means should step down: {:?}",
+        summary.means
     );
 
-    // Same staircase through the cached store path, 1e-9-identical.
-    let cached =
-        store_segment_means(c.telemetry_store(), c.facility_series_id(), &boundaries).unwrap();
-    assert_eq!(cached.len(), means.len());
-    for (cm, sm) in cached.iter().zip(&means) {
+    // Each segment read back through the store agrees with the series view
+    // over the same bounds, 1e-9-identical. (The summary's last segment
+    // runs to `power.end()`, one sample past `end`, so it is not the
+    // comparator.)
+    for w in [start, bios, freq, end].windows(2) {
+        let (stored, _) = store_aggregate(store, sid, ts(w[0]), ts(w[1]), AggOp::Mean).unwrap();
+        let view = power.window_mean(w[0], w[1]);
         assert!(
-            (cm - sm).abs() <= 1e-9 * sm.abs().max(1.0),
-            "cached segment mean {cm} vs sequential {sm}"
+            (stored - view).abs() <= 1e-9 * view.abs().max(1.0),
+            "store segment mean {stored} vs series view {view}"
         );
     }
 }
