@@ -34,9 +34,10 @@
 //!   in no store;
 //! - [`persist`] — the versioned, checksummed snapshot format
 //!   ([`TsdbStore::snapshot_to`] / [`TsdbStore::open_snapshot`]): series
-//!   metadata, sealed chunks verbatim, rollup state and active tails,
-//!   framed in CRC-guarded blocks with a footer so truncation and bit rot
-//!   are detected, never mis-read;
+//!   metadata, sealed chunks verbatim and active tails — each sample once,
+//!   with the totals and rollups rebuilt on load — framed in CRC-guarded
+//!   blocks with a footer so truncation and bit rot are detected, never
+//!   mis-read;
 //! - [`wal`] — the write-ahead log (writers log each batch before they
 //!   apply it) and the [`recover`] entry point (newest valid snapshot +
 //!   WAL replay, torn tail records skipped and counted);

@@ -6,12 +6,15 @@
 //! `[tag u8][len u32][payload][crc32 u32]` with the CRC covering tag, length
 //! and payload. The first block is a header (format version, series count),
 //! then one block per series (metadata, sealed Gorilla chunks **verbatim**
-//! with their zone maps when present, rollup state, and the active tail as
-//! raw samples), and finally a footer
-//! block whose presence proves the file was written to completion. Any
-//! truncation or bit error is caught by a frame CRC or the missing footer
-//! and surfaces as a typed [`PersistError`] — a snapshot is accepted whole
-//! or rejected whole, never partially applied.
+//! with their zone maps when present, and the active tail as raw samples),
+//! and finally a footer block whose presence proves the file was written to
+//! completion. Any truncation or bit error is caught by a frame CRC or the
+//! missing footer and surfaces as a typed [`PersistError`] — a snapshot is
+//! accepted whole or rejected whole, never partially applied.
+//!
+//! A snapshot holds each sample once and nothing derived from it: the
+//! series total and the rollup levels are rebuilt on load by
+//! [`Series::from_parts`], through the fold ingest runs.
 //!
 //! ```
 //! use hpc_tsdb::{SeriesMeta, StoreConfig, TsdbStore};
@@ -37,7 +40,7 @@
 //! ```
 
 use crate::chunk::{Chunk, Zone};
-use crate::rollup::{Aggregate, Bucket, RollupLevel, HOUR, MINUTE};
+use crate::rollup::{Aggregate, HOUR, MINUTE};
 use crate::series::{Series, SeriesMeta};
 use crate::store::{SeriesId, StoreConfig, TsdbStore};
 use bytes::Bytes;
@@ -50,13 +53,18 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HTSDBSN\x01";
 /// Current snapshot format version, written in the header block.
 ///
 /// Version history:
-/// - `1` — series metadata, sealed chunks, rollups, active tail;
+/// - `1` — series metadata, series total, sealed chunks, rollups, active
+///   tail;
 /// - `2` — appends a zone-map section to every sealed chunk (zone count,
 ///   then per-zone time bounds and pre-computed [`Aggregate`]), so
-///   compacted chunks recover with their pruning structure intact.
-///   Version-1 snapshots remain readable; their chunks simply recover
-///   zone-less.
-pub const SNAPSHOT_VERSION: u16 = 2;
+///   compacted chunks recover with their pruning structure intact;
+/// - `3` — drops the series total and both rollup sections, which are a
+///   pure function of the samples; recovery rebuilds them.
+///
+/// Writers emit only this version. Version-1 and -2 snapshots remain
+/// readable: their totals and rollups are skipped and rebuilt, and
+/// version-1 chunks recover zone-less.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Oldest snapshot format version this reader still accepts.
 pub const SNAPSHOT_MIN_VERSION: u16 = 1;
@@ -202,23 +210,6 @@ fn put_aggregate(buf: &mut Vec<u8>, a: &Aggregate) {
     put_f64(buf, a.m2);
 }
 
-fn put_rollup(buf: &mut Vec<u8>, level: &RollupLevel) {
-    put_i64(buf, level.resolution());
-    put_u32(buf, level.sealed().len() as u32);
-    for b in level.sealed() {
-        put_i64(buf, b.start);
-        put_aggregate(buf, &b.agg);
-    }
-    match level.open() {
-        Some(b) => {
-            buf.push(1);
-            put_i64(buf, b.start);
-            put_aggregate(buf, &b.agg);
-        }
-        None => buf.push(0),
-    }
-}
-
 /// Sequential reader over one block's payload with typed take-ops; every
 /// short read is a [`PersistError::Malformed`] (the frame CRC already
 /// matched, so a short payload is a structural bug, not a torn write).
@@ -287,7 +278,14 @@ fn read_aggregate(c: &mut Cursor<'_>) -> Result<Aggregate, PersistError> {
     })
 }
 
-fn read_rollup(c: &mut Cursor<'_>, expected_resolution: i64) -> Result<RollupLevel, PersistError> {
+/// Bytes of a serialised [`Aggregate`]: a `u64` count and five `f64`s.
+const AGGREGATE_BYTES: usize = 48;
+/// Bytes of a serialised rollup bucket: its `i64` start and its aggregate.
+const BUCKET_BYTES: usize = 8 + AGGREGATE_BYTES;
+
+/// Skip a version-1/2 rollup section after checking its shape: the level
+/// itself is rebuilt from the samples.
+fn skip_rollup(c: &mut Cursor<'_>, expected_resolution: i64) -> Result<(), PersistError> {
     let resolution = c.i64("rollup.resolution")?;
     if resolution != expected_resolution {
         return Err(PersistError::Malformed(format!(
@@ -295,22 +293,12 @@ fn read_rollup(c: &mut Cursor<'_>, expected_resolution: i64) -> Result<RollupLev
         )));
     }
     let sealed_n = c.u32("rollup.sealed_count")? as usize;
-    let mut sealed = Vec::with_capacity(sealed_n.min(1 << 20));
-    for _ in 0..sealed_n {
-        let start = c.i64("bucket.start")?;
-        let agg = read_aggregate(c)?;
-        sealed.push(Bucket { start, agg });
+    c.take(sealed_n.saturating_mul(BUCKET_BYTES), "rollup.sealed")?;
+    match c.u8("rollup.open_flag")? {
+        0 => Ok(()),
+        1 => c.take(BUCKET_BYTES, "rollup.open").map(drop),
+        f => Err(PersistError::Malformed(format!("rollup open flag {f}"))),
     }
-    let open = match c.u8("rollup.open_flag")? {
-        0 => None,
-        1 => {
-            let start = c.i64("bucket.start")?;
-            let agg = read_aggregate(c)?;
-            Some(Bucket { start, agg })
-        }
-        f => return Err(PersistError::Malformed(format!("rollup open flag {f}"))),
-    };
-    Ok(RollupLevel::from_parts(resolution, sealed, open))
 }
 
 // ---------------------------------------------------------------------------
@@ -371,13 +359,12 @@ fn read_exact_at(r: &mut impl Read, buf: &mut [u8], block_start: u64) -> Result<
 // Snapshot write.
 // ---------------------------------------------------------------------------
 
-fn series_payload(id: SeriesId, series: &Series, version: u16) -> Vec<u8> {
+fn series_payload(id: SeriesId, series: &Series) -> Vec<u8> {
     let mut p = Vec::with_capacity(64 + series.size_bytes());
     put_u64(&mut p, id.0);
     put_str(&mut p, &series.meta().name);
     put_str(&mut p, &series.meta().unit);
     put_i64(&mut p, series.meta().interval_hint);
-    put_aggregate(&mut p, series.total_aggregate());
     put_u32(&mut p, series.chunks().len() as u32);
     for chunk in series.chunks() {
         put_u32(&mut p, chunk.len());
@@ -387,18 +374,14 @@ fn series_payload(id: SeriesId, series: &Series, version: u16) -> Vec<u8> {
         put_u32(&mut p, chunk.data().len() as u32);
         p.extend_from_slice(chunk.data());
         put_aggregate(&mut p, chunk.aggregate());
-        if version >= 2 {
-            let zones = chunk.zones().unwrap_or(&[]);
-            put_u32(&mut p, zones.len() as u32);
-            for z in zones {
-                put_i64(&mut p, z.first_ts);
-                put_i64(&mut p, z.last_ts);
-                put_aggregate(&mut p, &z.agg);
-            }
+        let zones = chunk.zones().unwrap_or(&[]);
+        put_u32(&mut p, zones.len() as u32);
+        for z in zones {
+            put_i64(&mut p, z.first_ts);
+            put_i64(&mut p, z.last_ts);
+            put_aggregate(&mut p, &z.agg);
         }
     }
-    put_rollup(&mut p, series.minutes());
-    put_rollup(&mut p, series.hours());
     let tail = series.active_tail();
     put_u32(&mut p, tail.len() as u32);
     for (ts, v) in tail {
@@ -414,7 +397,9 @@ fn read_series_payload(payload: &[u8], version: u16) -> Result<(SeriesId, Series
     let name = c.str_("series.name")?;
     let unit = c.str_("series.unit")?;
     let interval_hint = c.i64("series.interval_hint")?;
-    let total = read_aggregate(&mut c)?;
+    if version < 3 {
+        c.take(AGGREGATE_BYTES, "series.total")?;
+    }
     let n_chunks = c.u32("series.chunk_count")? as usize;
     let mut sealed = Vec::with_capacity(n_chunks.min(1 << 20));
     for _ in 0..n_chunks {
@@ -466,27 +451,20 @@ fn read_series_payload(payload: &[u8], version: u16) -> Result<(SeriesId, Series
         }
         sealed.push(chunk);
     }
-    let minutes = read_rollup(&mut c, MINUTE)?;
-    let hours = read_rollup(&mut c, HOUR)?;
+    if version < 3 {
+        skip_rollup(&mut c, MINUTE)?;
+        skip_rollup(&mut c, HOUR)?;
+    }
     let tail_n = c.u32("series.tail_count")? as usize;
     let mut tail = Vec::with_capacity(tail_n.min(1 << 20));
-    let mut last: Option<i64> = None;
     for _ in 0..tail_n {
-        let ts = c.i64("tail.ts")?;
-        let v = c.f64("tail.value")?;
-        if last.is_some_and(|l| ts <= l) {
-            return Err(PersistError::Malformed(format!(
-                "active tail not strictly increasing at ts {ts}"
-            )));
-        }
-        last = Some(ts);
-        tail.push((ts, v));
+        tail.push((c.i64("tail.ts")?, c.f64("tail.value")?));
     }
     if !c.done() {
         return Err(PersistError::Malformed("trailing bytes in series block".into()));
     }
     let meta = SeriesMeta { name, unit, interval_hint };
-    Ok((id, Series::from_parts(meta, sealed, &tail, minutes, hours, total)))
+    Ok((id, Series::from_parts(meta, sealed, &tail)?))
 }
 
 impl TsdbStore {
@@ -499,27 +477,13 @@ impl TsdbStore {
     /// checkpoints between simulation runs; other writers finish their
     /// appends before the snapshot starts).
     pub fn snapshot_to(&self, w: &mut impl Write) -> Result<SnapshotStats, PersistError> {
-        self.snapshot_to_versioned(w, SNAPSHOT_VERSION)
-    }
-
-    /// [`Self::snapshot_to`] at an explicit (older) format version — kept
-    /// for compatibility tests; version-1 images drop zone maps.
-    pub(crate) fn snapshot_to_versioned(
-        &self,
-        w: &mut impl Write,
-        version: u16,
-    ) -> Result<SnapshotStats, PersistError> {
-        assert!(
-            (SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version),
-            "unwritable snapshot version {version}"
-        );
         let entries = self.series_entries();
         let mut stats = SnapshotStats { series: entries.len() as u64, ..Default::default() };
         w.write_all(&SNAPSHOT_MAGIC)?;
         stats.bytes += SNAPSHOT_MAGIC.len() as u64;
 
         let mut header = Vec::with_capacity(32);
-        header.extend_from_slice(&version.to_le_bytes());
+        header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         put_u64(&mut header, entries.len() as u64);
         put_u64(&mut header, self.next_series_id());
         stats.bytes += write_block(w, TAG_HEADER, &header)?;
@@ -528,7 +492,7 @@ impl TsdbStore {
             let payload = self
                 .with_series(*id, |s| {
                     stats.samples += s.len();
-                    series_payload(*id, s, version)
+                    series_payload(*id, s)
                 })
                 .ok_or_else(|| {
                     PersistError::Malformed(format!("registered series {id:?} missing"))
@@ -642,6 +606,22 @@ mod tests {
         SeriesMeta { name: name.into(), unit: "kW".into(), interval_hint: 60 }
     }
 
+    /// A series' total, then every minute and hour bucket, sealed and open,
+    /// as `(start, count, bits of sum, min, max, mean, m2)`; the total's
+    /// start is `i64::MIN`.
+    type DerivedBits = Vec<(i64, u64, [u64; 5])>;
+
+    fn derived_bits(s: &Series) -> DerivedBits {
+        let bits = |start, a: &Aggregate| {
+            (start, a.count, [a.sum, a.min, a.max, a.mean, a.m2].map(f64::to_bits))
+        };
+        let buckets = [s.minutes(), s.hours()]
+            .into_iter()
+            .flat_map(|level| level.sealed().iter().chain(level.open()))
+            .map(|b| bits(b.start, &b.agg));
+        std::iter::once(bits(i64::MIN, s.total_aggregate())).chain(buckets).collect()
+    }
+
     fn sample_store() -> TsdbStore {
         let store = TsdbStore::default();
         let a = store.register(meta("facility"));
@@ -686,14 +666,10 @@ mod tests {
                 assert_eq!(t0, t1);
                 assert_eq!(v0.to_bits(), v1.to_bits());
             }
-            // Rollup state survives too.
-            let (m0, h0) = store
-                .with_series(id, |s| (s.minutes().sealed().len(), s.hours().sealed().len()))
-                .unwrap();
-            let (m1, h1) = back
-                .with_series(rid, |s| (s.minutes().sealed().len(), s.hours().sealed().len()))
-                .unwrap();
-            assert_eq!((m0, h0), (m1, h1));
+            // The rebuilt total and rollups match the live ones to the bit.
+            let live = store.with_series(id, derived_bits).unwrap();
+            assert!(live.len() > 1, "{name} has rollup buckets");
+            assert_eq!(live, back.with_series(rid, derived_bits).unwrap());
         }
         // New appends continue seamlessly after the recovered tail.
         let id = back.lookup("facility").unwrap();
@@ -816,33 +792,95 @@ mod tests {
         assert_eq!(orig_agg.sum.to_bits(), rec_agg.sum.to_bits());
     }
 
+    /// Version-1 and version-2 images of `sample_store()` after
+    /// `compact()`, as the writers of those versions laid them out. They
+    /// were written with the versioned writer of commit `ea51218`, the
+    /// last to have one: a test added to that commit's `persist::tests`
+    /// called `store.snapshot_to_versioned(&mut buf, v)` on this store for
+    /// `v` in 1 and 2 and saved each `buf` as
+    /// `tests/data/sample_store_compacted.v{v}.tsnap`.
     #[test]
-    fn version_1_snapshots_stay_readable() {
-        // A v1 image (written before zone maps existed) must recover: same
-        // samples, zone-less chunks. The versioned writer reproduces the
-        // old byte layout exactly.
+    fn version_1_and_2_fixtures_recover_bit_identically() {
         let store = sample_store();
         store.compact();
-        let mut v1 = Vec::new();
-        store.snapshot_to_versioned(&mut v1, 1).unwrap();
-        let back = TsdbStore::open_snapshot(&mut &v1[..], StoreConfig::default()).unwrap();
-        assert_eq!(back.total_samples(), store.total_samples());
-        let id = store.lookup("facility").unwrap();
-        let rid = back.lookup("facility").unwrap();
-        let orig = store.with_series(id, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
-        let rec = back.with_series(rid, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
-        assert_eq!(orig.len(), rec.len());
-        for ((t0, v0), (t1, v1)) in orig.iter().zip(&rec) {
-            assert_eq!(t0, t1);
-            assert_eq!(v0.to_bits(), v1.to_bits());
+        let facility = store.lookup("facility").unwrap();
+        assert!(
+            store.with_series(facility, |s| s.chunks()[0].zones().is_some()).unwrap(),
+            "the fixtures' store compacts into a zoned chunk"
+        );
+        let fixtures: [(u16, &[u8]); 2] = [
+            (1, include_bytes!("../tests/data/sample_store_compacted.v1.tsnap")),
+            (2, include_bytes!("../tests/data/sample_store_compacted.v2.tsnap")),
+        ];
+        for (version, image) in fixtures {
+            assert_eq!(u16::from_le_bytes([image[13], image[14]]), version);
+            let back = TsdbStore::open_snapshot(&mut &image[..], StoreConfig::default())
+                .unwrap_or_else(|e| panic!("v{version}: {e}"));
+            assert_eq!(back.series_count(), 2);
+            for name in ["facility", "cabinet.0"] {
+                let (id, rid) = (store.lookup(name).unwrap(), back.lookup(name).unwrap());
+                let samples = |st: &TsdbStore, id| {
+                    let rows = st.with_series(id, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
+                    rows.into_iter().map(|(t, v)| (t, v.to_bits())).collect::<Vec<_>>()
+                };
+                assert_eq!(samples(&store, id), samples(&back, rid), "v{version} {name}");
+                assert_eq!(
+                    store.with_series(id, derived_bits).unwrap(),
+                    back.with_series(rid, derived_bits).unwrap(),
+                    "v{version} {name}"
+                );
+                let zones = |st: &TsdbStore, id| {
+                    st.with_series(id, |s| {
+                        s.chunks().iter().map(|c| c.zones().map(<[Zone]>::to_vec)).collect::<Vec<_>>()
+                    })
+                    .unwrap()
+                };
+                if version == 1 {
+                    assert!(zones(&back, rid).iter().all(Option::is_none), "v1 carries no zones");
+                } else {
+                    assert_eq!(zones(&back, rid), zones(&store, id), "v2 {name}");
+                }
+            }
         }
-        let zoneless = back
-            .with_series(rid, |s| s.chunks().iter().all(|c| c.zones().is_none()))
-            .unwrap();
-        assert!(zoneless, "v1 image cannot carry zones");
-        let mut v2 = Vec::new();
-        store.snapshot_to(&mut v2).unwrap();
-        assert!(v2.len() > v1.len(), "zone sections add bytes");
+    }
+
+    #[test]
+    fn swapped_or_mislabelled_chunks_are_malformed() {
+        // Every frame checks out, but the chunks break what the rollup
+        // rebuild assumes, which it must refuse, not panic on.
+        let store = sample_store();
+        let mut buf = Vec::new();
+        store.snapshot_to(&mut buf).unwrap();
+        let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+        // The first series block after the header is "facility", id 0.
+        let block = 8 + 5 + u32_at(&buf, 9) as usize + 4;
+        let payload_end = block + 5 + u32_at(&buf, block + 1) as usize;
+        let mut at = block + 5 + 8; // past the id
+        at += 4 + u32_at(&buf, at) as usize; // name
+        at += 4 + u32_at(&buf, at) as usize; // unit
+        at += 8; // interval_hint
+        assert_eq!(u32_at(&buf, at), 2, "facility holds two sealed chunks");
+        // A chunk record: count, first_ts, last_ts, len_bits, data_len (32
+        // bytes), the data, the chunk aggregate and a zero zone count.
+        let chunk_end = |at: usize| at + 32 + u32_at(&buf, at + 28) as usize + 48 + 4;
+        let first = at + 4;
+        let second = chunk_end(first);
+        let end = chunk_end(second);
+        let open = |mut evil: Vec<u8>| {
+            let crc = crc32(&evil[block..payload_end]);
+            evil[payload_end..payload_end + 4].copy_from_slice(&crc.to_le_bytes());
+            TsdbStore::open_snapshot(&mut &evil[..], StoreConfig::default()).err()
+        };
+        // The samples run backwards across the chunk boundary.
+        let mut swapped = buf.clone();
+        swapped[first..end].copy_from_slice(&[&buf[second..end], &buf[first..second]].concat());
+        let err = open(swapped);
+        assert!(matches!(err, Some(PersistError::Malformed(_))), "{err:?}");
+        // The first chunk's header claims a last timestamp its data lacks.
+        let mut mislabelled = buf.clone();
+        mislabelled[first + 12] ^= 1;
+        let err = open(mislabelled);
+        assert!(matches!(err, Some(PersistError::Malformed(_))), "{err:?}");
     }
 
     #[test]

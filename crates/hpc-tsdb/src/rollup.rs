@@ -126,17 +126,6 @@ impl RollupLevel {
         self.resolution
     }
 
-    /// Reassemble a level from persisted parts (sealed buckets in time
-    /// order plus the optional trailing open bucket). Used by snapshot
-    /// recovery after CRC verification.
-    ///
-    /// # Panics
-    /// Panics if `resolution <= 0`.
-    pub fn from_parts(resolution: i64, sealed: Vec<Bucket>, open: Option<Bucket>) -> Self {
-        assert!(resolution > 0, "rollup resolution must be positive");
-        RollupLevel { resolution, sealed, open }
-    }
-
     /// Sealed (complete) buckets in time order.
     pub fn sealed(&self) -> &[Bucket] {
         &self.sealed
@@ -181,11 +170,19 @@ impl RollupLevel {
     }
 
     /// Buckets (sealed and open) intersecting `[from, to)`, in time order.
+    ///
+    /// Sealed buckets are aligned and in start order, so the ones that
+    /// intersect form one run, found by two binary searches. The second
+    /// search runs inside the first's result, so an empty or reversed
+    /// window yields exactly what the per-bucket test would: nothing, or
+    /// the one bucket that holds both ends.
     pub fn buckets_in(&self, from: i64, to: i64) -> impl Iterator<Item = &Bucket> {
-        self.sealed
+        let res = self.resolution;
+        let lo = self.sealed.partition_point(|b| b.start + res <= from);
+        let hi = lo + self.sealed[lo..].partition_point(|b| b.start < to);
+        self.sealed[lo..hi]
             .iter()
-            .chain(self.open.iter())
-            .filter(move |b| b.start < to && b.start + self.resolution > from)
+            .chain(self.open.iter().filter(move |b| b.start < to && b.start + res > from))
     }
 
     /// Whether `[from, to)` is aligned to this level's bucket grid, so
@@ -270,6 +267,41 @@ mod tests {
         assert!(l.covers_aligned(120, 180));
         assert!(!l.covers_aligned(30, 3600));
         assert!(!l.covers_aligned(0, 90));
+    }
+
+    #[test]
+    fn buckets_in_matches_the_linear_filter() {
+        let mut rng = crate::faults::DetRng::new(0xB0CE_7500);
+        for case in 0..200 {
+            let resolution = [1i64, MINUTE, HOUR, 7][rng.below(4) as usize];
+            let mut level = RollupLevel::new(resolution);
+            let first = rng.below(10_000) as i64 - 5_000;
+            let mut ts = first;
+            for _ in 0..rng.below(300) {
+                level.push(ts, 1.0);
+                ts += 1 + rng.below(3 * resolution as u64) as i64;
+            }
+            // Windows start anywhere from before the first bucket to past
+            // the open one; a quarter are empty and a quarter reversed.
+            let width = (ts - first + 4 * resolution) as u64;
+            for _ in 0..50 {
+                let from = first - 2 * resolution + rng.below(width) as i64;
+                let to = match rng.below(4) {
+                    0 => from,
+                    1 => from - 1 - rng.below(3 * resolution as u64) as i64,
+                    _ => from + 1 + rng.below(width) as i64,
+                };
+                let got: Vec<i64> = level.buckets_in(from, to).map(|b| b.start).collect();
+                let want: Vec<i64> = level
+                    .sealed()
+                    .iter()
+                    .chain(level.open())
+                    .filter(|b| b.start < to && b.start + resolution > from)
+                    .map(|b| b.start)
+                    .collect();
+                assert_eq!(got, want, "case {case}: window [{from}, {to})");
+            }
+        }
     }
 
     #[test]

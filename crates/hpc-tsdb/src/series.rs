@@ -2,12 +2,13 @@
 //! one active) with a cascade of rollup levels maintained on ingest.
 
 use crate::chunk::{Chunk, ChunkBuilder, ColumnBlock, Zone};
+use crate::persist::PersistError;
 use crate::quality::QuarantinedSample;
 use crate::rollup::{Aggregate, RollupLevel, HOUR, MINUTE};
 
-/// Samples per chunk before sealing. 512 one-minute samples ≈ 8.5 hours
-/// per chunk, giving scans good locality while bounding the re-decode
-/// cost of the active chunk.
+/// Samples per chunk before sealing. 512 samples span 5.3 days at the
+/// campaign's 900 s cadence, giving scans good locality while bounding the
+/// re-decode cost of the active chunk.
 pub const CHUNK_SAMPLES: u32 = 512;
 
 /// Immutable description of a series.
@@ -128,41 +129,52 @@ impl Series {
         self.active.decode()
     }
 
-    /// Reassemble a series from persisted parts: sealed chunks verbatim,
+    /// Reassemble a series from persisted parts: sealed chunks verbatim and
     /// the active tail as raw samples (re-encoded through the deterministic
     /// codec, so the rebuilt builder is bit-identical to the one that was
-    /// snapshotted), and the rollup/total state as recorded — the tail
-    /// samples are **not** re-folded into rollups, because the persisted
-    /// rollup state already includes them.
+    /// snapshotted). The total and both rollup levels are not persisted:
+    /// every sample is folded, in time order, through the same fold
+    /// [`Self::append`] runs, so they equal the live series' bit for bit.
     ///
-    /// Snapshot recovery verifies a CRC over the serialised bytes before
-    /// calling this; no structural validation happens here.
-    ///
-    /// # Panics
-    /// Panics if the active-tail timestamps are not strictly increasing.
+    /// # Errors
+    /// [`PersistError::Malformed`] if the parts break what that fold
+    /// assumes: a sealed chunk whose decoded first or last timestamp
+    /// disagrees with its header, or a sample not strictly after the one
+    /// before it, across chunks and into the tail.
     pub fn from_parts(
         meta: SeriesMeta,
         sealed: Vec<Chunk>,
         active_tail: &[(i64, f64)],
-        minutes: RollupLevel,
-        hours: RollupLevel,
-        total: Aggregate,
-    ) -> Self {
-        let mut active = ChunkBuilder::new();
+    ) -> Result<Self, PersistError> {
+        let mut series = Series::new(meta);
+        let mut last: Option<i64> = None;
+        let mut check = |ts: i64| match last.replace(ts) {
+            Some(prev) if ts <= prev => Err(PersistError::Malformed(format!(
+                "samples not strictly increasing at ts {ts} (after {prev})"
+            ))),
+            _ => Ok(()),
+        };
+        for chunk in &sealed {
+            let samples = chunk.decode();
+            let ends = samples.first().zip(samples.last()).map(|(a, b)| (a.0, b.0));
+            let header = (chunk.first_ts(), chunk.last_ts());
+            if ends != Some(header) {
+                return Err(PersistError::Malformed(format!(
+                    "chunk header {header:?} disagrees with its data {ends:?}"
+                )));
+            }
+            for (ts, v) in samples {
+                check(ts)?;
+                series.fold(ts, v);
+            }
+        }
         for &(ts, v) in active_tail {
-            active.push(ts, v);
+            check(ts)?;
+            series.active.push(ts, v);
+            series.fold(ts, v);
         }
-        Series {
-            meta,
-            sealed,
-            active,
-            minutes,
-            hours,
-            total,
-            chunk_samples: CHUNK_SAMPLES,
-            quarantined: Vec::new(),
-            mutations: 0,
-        }
+        series.sealed = sealed;
+        Ok(series)
     }
 
     /// Mutations applied to this series so far (appends, quarantines,
@@ -204,6 +216,12 @@ impl Series {
             self.sealed.push(full.seal());
         }
         self.active.push(ts, value);
+        self.fold(ts, value);
+    }
+
+    /// Fold one stored sample into the total and the minute → hour
+    /// cascade — the one fold behind both ingest and snapshot recovery.
+    fn fold(&mut self, ts: i64, value: f64) {
         self.total.push(value);
         if let Some(done) = self.minutes.push(ts, value) {
             self.hours.fold(done.start, done.agg);

@@ -59,6 +59,25 @@ fn dump(store: &TsdbStore, names: &[String]) -> Dump {
         .collect()
 }
 
+/// Bit-level derived state of one series: the total, then every minute and
+/// hour bucket, sealed and open, as `(start, count, bits of sum, min, max,
+/// mean, m2)`. The total's start is `i64::MIN`.
+fn derived_bits(store: &TsdbStore, name: &str) -> Vec<(i64, u64, [u64; 5])> {
+    let bits = |start, a: &hpc_tsdb::Aggregate| {
+        (start, a.count, [a.sum, a.min, a.max, a.mean, a.m2].map(f64::to_bits))
+    };
+    let id = store.lookup(name).expect("series present");
+    store
+        .with_series(id, |s| {
+            let buckets = [s.minutes(), s.hours()]
+                .into_iter()
+                .flat_map(|level| level.sealed().iter().chain(level.open()))
+                .map(|b| bits(b.start, &b.agg));
+            std::iter::once(bits(i64::MIN, s.total_aggregate())).chain(buckets).collect()
+        })
+        .expect("series present")
+}
+
 /// One randomly shaped store. Shapes deliberately include the degenerate
 /// cases the format must carry: no samples at all, a single sample, a tail
 /// that ends exactly on the chunk boundary (empty active chunk), ragged
@@ -101,7 +120,7 @@ fn random_store(rng: &mut DetRng) -> (TsdbStore, Vec<String>) {
             ts += 1 + (interval - 1) * (i as i64 % 2); // half on-grid, half jittered
         }
     }
-    // Half the shapes go through a compaction pass, so snapshots carry v2
+    // Half the shapes go through a compaction pass, so snapshots carry
     // zone-map sections and every fault-injection sweep covers them too.
     if rng.below(2) == 0 {
         store.compact();
@@ -121,11 +140,14 @@ fn snapshot_roundtrip_property_over_random_shapes() {
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(dump(&store, &names), dump(&back, &names), "case {case}");
         assert_eq!(store.total_samples(), back.total_samples(), "case {case}");
-        // Aggregates (Welford moments included) survive to the bit too.
+        // The total and every rollup bucket (Welford moments included) are
+        // rebuilt to the bit; 1 s cadences put many samples in a minute.
         for name in &names {
-            let (a, b) = (store.lookup(name).unwrap(), back.lookup(name).unwrap());
-            let agg = |st: &TsdbStore, id| st.with_series(id, |s| *s.total_aggregate()).unwrap();
-            assert_eq!(agg(&store, a), agg(&back, b), "case {case} series {name}");
+            assert_eq!(
+                derived_bits(&store, name),
+                derived_bits(&back, name),
+                "case {case} series {name}"
+            );
         }
     }
 }

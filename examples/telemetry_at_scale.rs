@@ -229,6 +229,12 @@ fn persist_benchmark(store: &TsdbStore, ids: &[SeriesId], campaign: &Campaign, s
         sstats.samples as f64 / 1e6,
         mib / (snapshot_write_ms / 1e3),
     );
+    // A snapshot holds each sample once and nothing derived from it.
+    let snapshot_bytes_per_sample = sstats.bytes as f64 / sstats.samples as f64;
+    assert!(
+        snapshot_bytes_per_sample < 8.0,
+        "expected a snapshot under 8 bytes/sample, got {snapshot_bytes_per_sample:.2}"
+    );
 
     let t = Instant::now();
     let back = TsdbStore::open_snapshot_path(&snap, StoreConfig::default()).expect("reopen");

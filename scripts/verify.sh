@@ -74,7 +74,7 @@ else
     echo "skip: speedup_columnar regression gate (no prior BENCH_tsdb_query.json on this clone)"
 fi
 test -s BENCH_tsdb_persist.json
-for key in snapshot_write_ms snapshot_read_ms snapshot_bytes wal_replay_ms; do
+for key in snapshot_write_ms snapshot_read_ms snapshot_bytes snapshot_samples wal_replay_ms; do
     grep -q "\"$key\"" BENCH_tsdb_persist.json \
         || { echo "BENCH_tsdb_persist.json missing key: $key" >&2; exit 1; }
 done
