@@ -1442,10 +1442,13 @@ impl Campaign {
     /// corpus. `step` must be positive.
     ///
     /// After each ingest increment (and before `observe`) the store's
-    /// immutable read view is republished
-    /// ([`TsdbStore::publish_view`]), so concurrent query sessions spend
-    /// the whole next step evaluating lock-free against a fresh epoch
-    /// snapshot instead of contending for shard locks with the writer.
+    /// immutable read view is republished ([`TsdbStore::publish_view`]).
+    /// Query sessions evaluate lock-free against it only until the next
+    /// telemetry tick bumps the store generation, which the first tick of
+    /// the next step does; for the rest of that step every read takes a
+    /// short shard read lock to snapshot (never held across a decode).
+    /// Under live ingest the view therefore serves a small share of reads
+    /// (docs/SERVE.md gives measured figures).
     pub fn run_serve(
         &mut self,
         until: SimTime,
@@ -1804,7 +1807,7 @@ mod tests {
             let start = SimTime::from_ymd(2022, 1, 1);
             let mut c = Campaign::new(f, small_config(), start, OperatingPoint::ORIGINAL);
             c.run_until(start + SimDuration::from_days(3));
-            c.power_series().values()
+            c.power_series()
         };
         assert_eq!(mk(), mk());
     }
@@ -1881,7 +1884,7 @@ mod fault_campaign_tests {
         // The backlog keeps the healthy fleet saturated despite the churn.
         assert!(c.utilisation() > 0.85, "utilisation {}", c.utilisation());
         // Power stays finite and positive throughout.
-        for kw in c.power_series().values() {
+        for &kw in c.power_series().values() {
             assert!(kw > 0.0 && kw.is_finite());
         }
         let violations = c.verify_invariants();
@@ -1903,7 +1906,7 @@ mod fault_campaign_tests {
         let violations = c.verify_invariants();
         assert!(violations.is_empty(), "invariants violated: {violations:?}");
         // Power stays physical throughout the storm.
-        for kw in c.power_series().values() {
+        for &kw in c.power_series().values() {
             assert!(kw > 0.0 && kw.is_finite());
         }
     }
@@ -1946,13 +1949,13 @@ mod fault_campaign_tests {
             let cfg = with_faults(storm_domains());
             let mut c = Campaign::new(f, cfg, start, OperatingPoint::ORIGINAL);
             c.run_until(start + SimDuration::from_days(5));
-            (c.fault_schedule().unwrap().digest(), c.power_series().values(), c.failure_counts())
+            (c.fault_schedule().unwrap().digest(), c.power_series(), c.failure_counts())
         };
         let (d1, p1, f1) = run();
         let (d2, p2, f2) = run();
         assert_eq!(d1, d2, "fault schedule digest must be seed-stable");
         assert_eq!(f1, f2);
-        for (a, b) in p1.iter().zip(&p2) {
+        for (a, b) in p1.values().iter().zip(p2.values()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -1970,7 +1973,7 @@ mod fault_campaign_tests {
             c.run_until(start + SimDuration::from_days(3));
             assert_eq!(c.failure_counts(), (0, 0));
             assert_eq!(c.offline_nodes(), 0);
-            c.power_series().values()
+            c.power_series()
         };
         let base = run(None);
         // A schedule with every rate off generates zero events -> same run.
@@ -1979,7 +1982,7 @@ mod fault_campaign_tests {
             ..FaultInjectionConfig::default()
         }));
         assert_eq!(base.len(), quiet.len());
-        for (a, b) in base.iter().zip(&quiet) {
+        for (a, b) in base.values().iter().zip(quiet.values()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -300,7 +300,8 @@ pub(crate) fn fold_summaries(results: &[ScenarioResult]) -> u64 {
 
 /// The sweep's canonical reduction of one finished campaign.
 pub(crate) fn summarize(index: u32, label: &str, campaign: &mut Campaign, wall_ms: u64) -> ScenarioResult {
-    let values = campaign.power_series().values();
+    let power = campaign.power_series();
+    let values = power.values();
     let mean_kw = if values.is_empty() {
         0.0
     } else {

@@ -22,7 +22,13 @@
 //!   [`TsdbStore::with_series_read`], which evaluates against the last
 //!   published immutable [`hpc_tsdb::ReadView`] whenever it is still at
 //!   the current store generation, taking no shard lock at all. The
-//!   serving campaign republishes the view each ingest step.
+//!   serving campaign republishes the view after each ingest step, and
+//!   the first telemetry tick of the next step retires it; from then until
+//!   the next publication every read takes a short shard read lock to
+//!   snapshot, with the decode outside the lock. Under live ingest the
+//!   view serves the minority of reads that land between a publication
+//!   and that tick; a store that is not ingesting serves every read from
+//!   it.
 //! * **Generation-keyed result cache with single-flight** — each tenant
 //!   caches finished data-query replies keyed by the request's canonical
 //!   serialisation and stamped with the store generation; any mutation

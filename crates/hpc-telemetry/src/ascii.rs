@@ -41,7 +41,7 @@ impl AsciiPlot {
         let h = self.height.max(5);
 
         // Downsample to one column per character cell.
-        let cols = column_means(&series.values(), w);
+        let cols = column_means(series.values(), w);
         let (mut lo, mut hi) = value_range(&cols);
         if let Some(seg) = segments {
             for &m in &seg.means {

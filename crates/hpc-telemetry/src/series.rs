@@ -1,37 +1,25 @@
 //! Regular-interval time series.
 //!
 //! The facility's cabinet power telemetry samples on a fixed cadence
-//! (15 minutes in the campaign runner). A `TimeSeries` is a thin view over
-//! one compressed tsdb series: appends go into Gorilla-compressed chunks
-//! (and the rollup cascade), windowed statistics are answered by the tsdb
-//! query planner — rollup buckets when the window is aligned, chunk scans
-//! otherwise — and [`TimeSeries::values`] decodes the samples on demand.
-//! The compressed chunks are the only copy of the data.
+//! (15 minutes in the campaign runner). A `TimeSeries` holds its samples as
+//! a plain `Vec<f64>` on the `start + k·interval` grid; windowed statistics
+//! fold the in-window slice. Series that live in the campaign's telemetry
+//! store are read there; a `TimeSeries` is the owned copy handed to figure
+//! and emissions code.
 
-use hpc_tsdb::series::{Series, SeriesMeta};
 use serde::{DeError, Deserialize, Serialize, Value};
 use sim_core::stats::OnlineStats;
 use sim_core::time::{SimDuration, SimTime};
 
-/// A dense, regular-interval `f64` time series backed by compressed
-/// tsdb storage.
-#[derive(Debug, Clone)]
+/// A dense, regular-interval `f64` time series.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimeSeries {
     start_unix: u64,
     interval_s: u64,
-    /// Compressed storage + rollups.
-    store: Series,
-    /// Unit label carried through to CSV/plots (e.g. `"kW"`).
+    /// Sample `k` is the value at `start + k·interval`.
+    samples: Vec<f64>,
+    /// Unit label carried through to plots (e.g. `"kW"`).
     pub unit: String,
-}
-
-impl PartialEq for TimeSeries {
-    fn eq(&self, other: &Self) -> bool {
-        self.start_unix == other.start_unix
-            && self.interval_s == other.interval_s
-            && self.unit == other.unit
-            && self.values() == other.values()
-    }
 }
 
 impl TimeSeries {
@@ -42,25 +30,20 @@ impl TimeSeries {
     /// Panics if the interval is zero.
     pub fn new(start: SimTime, interval: SimDuration, unit: impl Into<String>) -> Self {
         assert!(!interval.is_zero(), "sampling interval must be positive");
-        let unit = unit.into();
         TimeSeries {
             start_unix: start.as_unix(),
             interval_s: interval.as_secs(),
-            store: Series::new(SeriesMeta {
-                name: String::new(),
-                unit: unit.clone(),
-                interval_hint: interval.as_secs() as i64,
-            }),
-            unit,
+            samples: Vec::new(),
+            unit: unit.into(),
         }
     }
 
     /// Build a series from `(unix timestamp, value)` samples scanned out of
-    /// a [`hpc_tsdb::TsdbStore`] series — how a campaign hands out its
-    /// facility power series, and how resume validates recovered history.
-    /// Samples must sit exactly on the `start + k·interval` grid with no
-    /// gaps; values are re-encoded through the lossless codec, so the
-    /// series is bit-identical to the stored one.
+    /// a telemetry store series — how a campaign hands out its facility
+    /// power series, and how resume validates recovered history. Samples
+    /// must sit exactly on the `start + k·interval` grid with no gaps;
+    /// values are copied as they are, so the series is bit-identical to
+    /// the stored one.
     ///
     /// # Errors
     /// Returns a description of the first off-grid or missing timestamp.
@@ -95,29 +78,17 @@ impl TimeSeries {
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.store.len() as usize
+        self.samples.len()
     }
 
     /// True when no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.samples.is_empty()
     }
 
-    /// The raw samples, decoded from the compressed chunks (lossless).
-    /// Each call decodes the whole series: bind the result once rather
-    /// than calling this inside a loop.
-    pub fn values(&self) -> Vec<f64> {
-        self.store.scan(i64::MIN, i64::MAX).into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// The compressed tsdb series behind this view (chunks + rollups).
-    pub fn tsdb(&self) -> &Series {
-        &self.store
-    }
-
-    /// Compressed size of the backing storage in bytes.
-    pub fn compressed_bytes(&self) -> usize {
-        self.store.size_bytes()
+    /// The samples, in time order.
+    pub fn values(&self) -> &[f64] {
+        &self.samples
     }
 
     /// Append the next sample (implicitly at `start + len·interval`).
@@ -126,8 +97,7 @@ impl TimeSeries {
     /// Panics on non-finite values.
     pub fn push(&mut self, value: f64) {
         assert!(value.is_finite(), "non-finite sample {value}");
-        let ts = self.start_unix + self.store.len() * self.interval_s;
-        self.store.append(ts as i64, value);
+        self.samples.push(value);
     }
 
     /// Timestamp of sample `i`.
@@ -146,7 +116,7 @@ impl TimeSeries {
         if t <= self.start_unix {
             return 0;
         }
-        (t - self.start_unix).div_ceil(self.interval_s).min(self.store.len()) as usize
+        (t - self.start_unix).div_ceil(self.interval_s).min(self.samples.len() as u64) as usize
     }
 
     /// Mean of all samples (0 for an empty series).
@@ -154,20 +124,17 @@ impl TimeSeries {
         self.window_stats(self.start(), self.end()).mean()
     }
 
-    /// Summary statistics over the half-open window `[from, to)`, answered
-    /// by the tsdb query planner (rollup buckets when aligned, compressed
-    /// chunk scans otherwise). The window is first snapped to the sample
-    /// grid exactly as the dense implementation did.
+    /// Summary statistics over the half-open window `[from, to)`: the
+    /// window is snapped to the sample grid, then its samples are folded
+    /// in time order.
     pub fn window_stats(&self, from: SimTime, to: SimTime) -> OnlineStats {
         let i0 = self.index_at(from);
-        let i1 = self.index_at(to);
-        if i0 >= i1 {
-            return OnlineStats::new();
+        let i1 = self.index_at(to).max(i0);
+        let mut st = OnlineStats::new();
+        for &v in &self.samples[i0..i1] {
+            st.push(v);
         }
-        let from_ts = (self.start_unix + i0 as u64 * self.interval_s) as i64;
-        let to_ts = (self.start_unix + i1 as u64 * self.interval_s) as i64;
-        let agg = hpc_tsdb::window_aggregate(&self.store, from_ts, to_ts);
-        OnlineStats::from_moments(agg.count, agg.mean, agg.m2, agg.min, agg.max)
+        st
     }
 
     /// Mean over the half-open window `[from, to)` (0 when empty).
@@ -188,7 +155,7 @@ impl TimeSeries {
             SimDuration::from_secs(self.interval_s * k as u64),
             self.unit.clone(),
         );
-        for chunk in self.values().chunks(k) {
+        for chunk in self.samples.chunks(k) {
             let mean = chunk.iter().sum::<f64>() / chunk.len() as f64;
             out.push(mean);
         }
@@ -199,24 +166,15 @@ impl TimeSeries {
     /// whole span, returning unit-hours (e.g. kW series → kWh).
     pub fn integral_unit_hours(&self) -> f64 {
         let h = self.interval_s as f64 / 3600.0;
-        self.store.total_aggregate().sum * h
+        // A left-to-right sum from +0.0, so an empty series integrates to
+        // +0.0 rather than the -0.0 `Iterator::sum` starts from.
+        self.samples.iter().fold(0.0, |acc, &v| acc + v) * h
     }
 }
 
-// The serialised form is the dense one: start, interval, samples, unit.
-// Samples are decoded for serialisation and re-encoded on deserialisation;
-// the codec is bit-lossless, so a round trip is exact.
-impl Serialize for TimeSeries {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("start_unix".into(), self.start_unix.to_value()),
-            ("interval_s".into(), self.interval_s.to_value()),
-            ("samples".into(), self.values().to_value()),
-            ("unit".into(), self.unit.to_value()),
-        ])
-    }
-}
-
+// The serialised form is `start_unix`, `interval_s`, `samples`, `unit`.
+// Deserialisation goes through `new` and `push`, so a zero interval or a
+// non-finite sample is refused.
 impl Deserialize for TimeSeries {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let map = v.as_map().ok_or_else(|| DeError::msg("TimeSeries: expected object"))?;
@@ -288,13 +246,15 @@ mod tests {
         let s = series_with(&[1.0, 2.0]);
         let st = s.window_stats(SimTime::from_unix(10_000), SimTime::from_unix(20_000));
         assert_eq!(st.count(), 0);
+        // A reversed window is empty too, not a panic.
+        assert_eq!(s.window_stats(s.time_at(2), s.time_at(0)).count(), 0);
     }
 
     #[test]
     fn block_means_downsample() {
         let s = series_with(&[1.0, 3.0, 5.0, 7.0, 9.0]);
         let d = s.block_means(2);
-        assert_eq!(&d.values()[..], &[2.0, 6.0, 9.0]);
+        assert_eq!(d.values(), &[2.0, 6.0, 9.0]);
         assert_eq!(d.interval().as_secs(), 1800);
     }
 
@@ -303,6 +263,7 @@ mod tests {
         // Four 15-minute samples at 1000 kW = 1 hour at 1000 kW = 1000 kWh.
         let s = series_with(&[1000.0; 4]);
         assert!((s.integral_unit_hours() - 1000.0).abs() < 1e-9);
+        assert_eq!(series_with(&[]).integral_unit_hours().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -315,7 +276,12 @@ mod tests {
     #[test]
     fn rebuild_from_tsdb_samples_is_bit_identical() {
         let original = series_with(&[3220.0, 3010.5, 2530.25, 2531.0]);
-        let samples = original.tsdb().scan(i64::MIN, i64::MAX);
+        let samples: Vec<(i64, f64)> = original
+            .values()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (original.time_at(i).as_unix() as i64, v))
+            .collect();
         let rebuilt = TimeSeries::from_tsdb_samples(
             original.start(),
             original.interval(),
@@ -324,7 +290,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rebuilt, original);
-        assert_eq!(rebuilt.compressed_bytes(), original.compressed_bytes());
         // Off-grid samples are refused, not silently shifted.
         let err = TimeSeries::from_tsdb_samples(
             original.start(),
@@ -344,30 +309,24 @@ mod tests {
     }
 
     #[test]
-    fn dense_view_and_compressed_store_agree() {
-        // Enough samples to span several tsdb chunks.
-        let vals: Vec<f64> = (0..1500).map(|i| 2800.0 + f64::from(i % 37) * 3.5).collect();
-        let s = series_with(&vals);
-        assert_eq!(s.values(), &vals[..]);
-        let decoded = s.tsdb().scan(i64::MIN, i64::MAX);
-        assert_eq!(decoded.len(), vals.len());
-        for (i, &(ts, v)) in decoded.iter().enumerate() {
-            assert_eq!(ts, i as i64 * 900);
-            assert_eq!(v.to_bits(), vals[i].to_bits());
+    fn serialised_text_is_pinned() {
+        let mut s =
+            TimeSeries::new(SimTime::from_ymd(2021, 12, 1), SimDuration::from_mins(15), "kW");
+        for v in [3220.0, 3010.5, 2530.25, 0.1] {
+            s.push(v);
         }
-        // Compression actually compresses: 12 bytes/sample raw → well under.
-        assert!(
-            s.compressed_bytes() < vals.len() * 8,
-            "no compression win: {} bytes for {} samples",
-            s.compressed_bytes(),
-            vals.len()
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            r#"{"start_unix":1638316800,"interval_s":900,"samples":[3220.0,3010.5,2530.25,0.1],"unit":"kW"}"#
         );
+        let zero = r#"{"start_unix":0,"interval_s":0,"samples":[],"unit":"kW"}"#;
+        assert!(serde_json::from_str::<TimeSeries>(zero).is_err(), "zero interval refused");
     }
 
     #[test]
     fn window_stats_match_dense_reference() {
-        // Windows at awkward offsets: compare the tsdb-backed answer
-        // against a straightforward dense computation.
+        // Windows at awkward offsets: the answer is the in-window samples
+        // folded in order, so it equals a hand-rolled fold bit for bit.
         let vals: Vec<f64> = (0..700).map(|i| (f64::from(i) * 0.37).cos() * 120.0 + 3000.0).collect();
         let s = series_with(&vals);
         for (a, b) in [(0usize, 700usize), (1, 699), (13, 509), (255, 256), (699, 700), (300, 300)] {
@@ -377,12 +336,11 @@ mod tests {
                 reference.push(v);
             }
             assert_eq!(st.count(), reference.count(), "window [{a}, {b})");
-            if !vals[a..b].is_empty() {
-                assert!((st.mean() - reference.mean()).abs() < 1e-9, "window [{a}, {b})");
-                assert!((st.std_dev() - reference.std_dev()).abs() < 1e-6);
-                assert_eq!(st.min(), reference.min());
-                assert_eq!(st.max(), reference.max());
-            }
+            assert_eq!(st.mean().to_bits(), reference.mean().to_bits(), "window [{a}, {b})");
+            let var = (st.variance().to_bits(), reference.variance().to_bits());
+            assert_eq!(var.0, var.1, "window [{a}, {b})");
+            assert_eq!(st.min().to_bits(), reference.min().to_bits());
+            assert_eq!(st.max().to_bits(), reference.max().to_bits());
         }
     }
 }

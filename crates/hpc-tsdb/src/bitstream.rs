@@ -109,29 +109,35 @@ impl<'a> BitReader<'a> {
         self.end - self.pos
     }
 
-    /// Read one bit.
+    /// Read one bit; `None` once the stream is exhausted (reading past the
+    /// end means the stream is not one the writer produced).
+    pub fn read_bit(&mut self) -> Option<bool> {
+        (self.pos < self.end).then(|| self.take_bit())
+    }
+
+    /// Read `width` bits as the low bits of a `u64`; `None`, consuming
+    /// nothing, when fewer than `width` bits remain.
     ///
     /// # Panics
-    /// Panics on reading past the end (indicates a corrupt stream).
-    pub fn read_bit(&mut self) -> bool {
-        assert!(self.pos < self.end, "bit stream exhausted");
+    /// Panics if `width > 64`.
+    pub fn read_bits(&mut self, width: u8) -> Option<u64> {
+        assert!(width <= 64, "width {width} > 64");
+        if self.remaining_bits() < u64::from(width) {
+            return None;
+        }
+        let mut v = 0u64;
+        for _ in 0..width {
+            v = (v << 1) | u64::from(self.take_bit());
+        }
+        Some(v)
+    }
+
+    /// The bit at `pos`, which the caller has checked is before `end`.
+    fn take_bit(&mut self) -> bool {
         let byte = self.data[(self.pos / 8) as usize];
         let bit = (byte >> (7 - (self.pos % 8) as u8)) & 1 == 1;
         self.pos += 1;
         bit
-    }
-
-    /// Read `width` bits as the low bits of a `u64`.
-    ///
-    /// # Panics
-    /// Panics if `width > 64` or the stream is exhausted.
-    pub fn read_bits(&mut self, width: u8) -> u64 {
-        assert!(width <= 64, "width {width} > 64");
-        let mut v = 0u64;
-        for _ in 0..width {
-            v = (v << 1) | u64::from(self.read_bit());
-        }
-        v
     }
 }
 
@@ -161,11 +167,11 @@ mod tests {
         assert_eq!(len, 1 + 4 + 64 + 7 + 16);
 
         let mut r = BitReader::new(&bytes, len);
-        assert!(r.read_bit());
-        assert_eq!(r.read_bits(4), 0b1011);
-        assert_eq!(r.read_bits(64), u64::MAX);
-        assert_eq!(r.read_bits(7), 0);
-        assert_eq!(r.read_bits(16), 0x5A5A);
+        assert_eq!(r.read_bit(), Some(true));
+        assert_eq!(r.read_bits(4), Some(0b1011));
+        assert_eq!(r.read_bits(64), Some(u64::MAX));
+        assert_eq!(r.read_bits(7), Some(0));
+        assert_eq!(r.read_bits(16), Some(0x5A5A));
         assert_eq!(r.remaining_bits(), 0);
     }
 
@@ -181,12 +187,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exhausted")]
-    fn reading_past_end_panics() {
+    fn reading_past_end_is_none() {
         let mut w = BitWriter::new();
         w.push_bits(3, 2);
         let (bytes, len) = w.finish();
         let mut r = BitReader::new(&bytes, len);
-        r.read_bits(3);
+        // The padding bits of the last byte are not part of the stream.
+        assert_eq!(r.read_bits(3), None);
+        assert_eq!(r.remaining_bits(), 2, "a refused read consumes nothing");
+        assert_eq!(r.read_bits(2), Some(3));
+        assert_eq!(r.read_bit(), None);
     }
 }

@@ -185,6 +185,7 @@ impl ChunkBuilder {
     pub fn decode(&self) -> Vec<(i64, f64)> {
         let (bytes, len_bits) = self.bits.snapshot();
         decode_stream(&bytes, len_bits, self.count)
+            .unwrap_or_else(|e| panic!("active chunk does not decode: {e}"))
     }
 
     /// Seal into an immutable [`Chunk`].
@@ -347,7 +348,8 @@ impl Chunk {
     /// Reassemble a sealed chunk from persisted parts. The inverse of
     /// reading [`Self::data`]/[`Self::len_bits`] plus the header fields —
     /// used by snapshot recovery, which verifies a CRC over the serialised
-    /// bytes before calling this, so no structural validation happens here.
+    /// bytes before calling this and then checks the data with
+    /// [`Self::try_decode`], so no structural validation happens here.
     pub fn from_parts(
         data: Bytes,
         len_bits: u64,
@@ -395,78 +397,162 @@ impl Chunk {
     }
 
     /// Decode every sample into interleaved `(timestamp, value)` rows.
+    ///
+    /// # Panics
+    /// Panics if the data does not decode. A chunk the encoder sealed
+    /// always does; one rebuilt from persisted bytes has been checked with
+    /// [`Self::try_decode`] when it was loaded.
     pub fn decode(&self) -> Vec<(i64, f64)> {
+        self.try_decode().unwrap_or_else(|e| panic!("sealed chunk does not decode: {e}"))
+    }
+
+    /// Decode every sample into interleaved `(timestamp, value)` rows, or
+    /// say why the data is not a stream the encoder could have written.
+    pub fn try_decode(&self) -> Result<Vec<(i64, f64)>, DecodeError> {
         decode_stream(&self.data, self.len_bits, self.count)
     }
 
     /// Decode every sample into a columnar block (flat timestamp and
     /// value vectors) — the form the query layer caches and aggregates
     /// over.
+    ///
+    /// # Panics
+    /// Panics if the data does not decode, as [`Self::decode`] does.
     pub fn decode_columns(&self) -> ColumnBlock {
-        let mut ts = Vec::with_capacity(self.count as usize);
-        let mut values = Vec::with_capacity(self.count as usize);
+        let n = reserve_for(self.len_bits, self.count);
+        let mut ts = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(n);
         decode_each(&self.data, self.len_bits, self.count, |t, v| {
             ts.push(t);
             values.push(v);
-        });
+        })
+        .unwrap_or_else(|e| panic!("sealed chunk does not decode: {e}"));
         ColumnBlock { ts, values }
     }
 }
 
-fn decode_stream(data: &[u8], len_bits: u64, count: u32) -> Vec<(i64, f64)> {
-    let mut out = Vec::with_capacity(count as usize);
-    decode_each(data, len_bits, count, |t, v| out.push((t, v)));
-    out
+/// Why a chunk's bit stream did not decode. The encoder never writes such
+/// a stream; these arise from persisted bytes whose frame checksum holds
+/// but whose chunk data or sample count is not what the encoder wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The stream ends before its `count` samples.
+    Truncated {
+        /// The sample count the chunk header claims.
+        count: u32,
+    },
+    /// A value reuses the XOR bit window before one was set.
+    WindowUnset {
+        /// Index of the offending sample.
+        sample: u32,
+    },
+    /// A new XOR window's leading zeros plus its length exceed 64 bits.
+    WindowTooWide {
+        /// Index of the offending sample.
+        sample: u32,
+        /// Leading zero bits.
+        leading: u8,
+        /// Meaningful bits.
+        len: u8,
+    },
+    /// A timestamp (or the delta between two) leaves the `i64` range.
+    TimestampOverflow {
+        /// Index of the offending sample.
+        sample: u32,
+    },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            DecodeError::Truncated { count } => {
+                write!(f, "bit stream ends before its {count} samples")
+            }
+            DecodeError::WindowUnset { sample } => {
+                write!(f, "sample {sample} reuses an XOR window before one was set")
+            }
+            DecodeError::WindowTooWide { sample, leading, len } => write!(
+                f,
+                "sample {sample} sets an XOR window of {leading} leading + {len} bits"
+            ),
+            DecodeError::TimestampOverflow { sample } => {
+                write!(f, "timestamp of sample {sample} overflows i64")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// How many samples a decode reserves room for: `count`, capped by what a
+/// stream of `len_bits` can hold (128 bits for the first sample, at least
+/// two for each later one), so a sample count read from persisted bytes
+/// cannot reserve more memory than its data could fill.
+fn reserve_for(len_bits: u64, count: u32) -> usize {
+    let most = len_bits.saturating_sub(128) / 2 + 1;
+    u64::from(count).min(most) as usize
+}
+
+fn decode_stream(data: &[u8], len_bits: u64, count: u32) -> Result<Vec<(i64, f64)>, DecodeError> {
+    let mut out = Vec::with_capacity(reserve_for(len_bits, count));
+    decode_each(data, len_bits, count, |t, v| out.push((t, v)))?;
+    Ok(out)
 }
 
 /// The single Gorilla decode loop: feeds every `(timestamp, value)` pair
 /// to `sink` in stream order. Row- and column-oriented decodes are thin
 /// adapters over this, so there is exactly one read path to get right.
-fn decode_each(data: &[u8], len_bits: u64, count: u32, mut sink: impl FnMut(i64, f64)) {
+fn decode_each(
+    data: &[u8],
+    len_bits: u64,
+    count: u32,
+    mut sink: impl FnMut(i64, f64),
+) -> Result<(), DecodeError> {
     if count == 0 {
-        return;
+        return Ok(());
     }
+    let truncated = DecodeError::Truncated { count };
     let mut r = BitReader::new(data, len_bits);
-    let mut ts = r.read_bits(64) as i64;
-    let mut value_bits = r.read_bits(64);
+    let mut ts = r.read_bits(64).ok_or(truncated)? as i64;
+    let mut value_bits = r.read_bits(64).ok_or(truncated)?;
     let mut delta = 0i64;
     let mut window: Option<(u8, u8)> = None;
     sink(ts, f64::from_bits(value_bits));
 
-    for _ in 1..count {
+    for sample in 1..count {
         // Timestamp field.
-        let dod = if !r.read_bit() {
+        let dod = if !r.read_bit().ok_or(truncated)? {
             0
         } else {
             let mut class = 0;
-            while class < TS_CLASSES.len() && r.read_bit() {
+            while class < TS_CLASSES.len() && r.read_bit().ok_or(truncated)? {
                 class += 1;
             }
-            if class < TS_CLASSES.len() {
-                unzigzag(r.read_bits(TS_CLASSES[class].0))
-            } else {
-                unzigzag(r.read_bits(64))
-            }
+            let width = TS_CLASSES.get(class).map_or(64, |&(width, _, _)| width);
+            unzigzag(r.read_bits(width).ok_or(truncated)?)
         };
-        delta += dod;
-        ts += delta;
+        let overflow = DecodeError::TimestampOverflow { sample };
+        delta = delta.checked_add(dod).ok_or(overflow)?;
+        ts = ts.checked_add(delta).ok_or(overflow)?;
 
         // Value field.
-        if r.read_bit() {
-            if r.read_bit() {
-                let leading = r.read_bits(6) as u8;
-                let len = r.read_bits(6) as u8 + 1;
-                let payload = r.read_bits(len);
-                value_bits ^= payload << (64 - leading - len);
-                window = Some((leading, len));
+        if r.read_bit().ok_or(truncated)? {
+            let (leading, len) = if r.read_bit().ok_or(truncated)? {
+                let leading = r.read_bits(6).ok_or(truncated)? as u8;
+                let len = r.read_bits(6).ok_or(truncated)? as u8 + 1;
+                if leading + len > 64 {
+                    return Err(DecodeError::WindowTooWide { sample, leading, len });
+                }
+                *window.insert((leading, len))
             } else {
-                let (wl, wlen) = window.expect("window reuse before window set");
-                let payload = r.read_bits(wlen);
-                value_bits ^= payload << (64 - wl - wlen);
-            }
+                window.ok_or(DecodeError::WindowUnset { sample })?
+            };
+            let payload = r.read_bits(len).ok_or(truncated)?;
+            value_bits ^= payload << (64 - leading - len);
         }
         sink(ts, f64::from_bits(value_bits));
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -641,6 +727,58 @@ mod tests {
         assert!(!zones[1].overlaps(1141, 2000));
         // Empty zone list normalises to None.
         assert!(c.clone().with_zones(Vec::new()).zones().is_none());
+    }
+
+    /// A sealed chunk claiming `count` samples over the bits `write` emits
+    /// after a first sample of `(ts0, 1.0)`.
+    fn forged(ts0: i64, count: u32, write: impl FnOnce(&mut BitWriter)) -> Chunk {
+        let mut w = BitWriter::new();
+        w.push_bits(ts0 as u64, 64);
+        w.push_bits(1.0f64.to_bits(), 64);
+        write(&mut w);
+        let (data, len_bits) = w.finish();
+        Chunk::from_parts(data, len_bits, count, ts0, ts0, Aggregate::new())
+    }
+
+    #[test]
+    fn streams_the_encoder_never_writes_are_typed_errors() {
+        let samples: Vec<(i64, f64)> = (0..50).map(|i| (i64::from(i) * 60, f64::from(i))).collect();
+        let good = chunk_from(&samples);
+        assert_eq!(good.try_decode().map(|s| s.len()), Ok(50));
+        // One sample more than the stream holds, and a count no stream of
+        // this length could hold (which must not reserve room for itself).
+        for count in [51, u32::MAX] {
+            let over = Chunk::from_parts(
+                bytes::Bytes::from(good.data().to_vec()),
+                good.len_bits(),
+                count,
+                good.first_ts(),
+                good.last_ts(),
+                *good.aggregate(),
+            );
+            assert_eq!(over.try_decode(), Err(DecodeError::Truncated { count }));
+        }
+        // dod 0, then a value that reuses a window nobody set.
+        let unset = forged(0, 2, |w| w.push_bits(0b010, 3));
+        assert_eq!(unset.try_decode(), Err(DecodeError::WindowUnset { sample: 1 }));
+        // dod 0, then a new window of 63 leading zeros and 64 bits.
+        let wide = forged(0, 2, |w| {
+            w.push_bits(0b011, 3);
+            w.push_bits(63, 6);
+            w.push_bits(63, 6);
+            w.push_bits(u64::MAX, 64);
+        });
+        assert_eq!(
+            wide.try_decode(),
+            Err(DecodeError::WindowTooWide { sample: 1, leading: 63, len: 64 })
+        );
+        // A 64-bit dod of i64::MAX from a positive start leaves the range.
+        let overflow = forged(1, 2, |w| {
+            w.push_bits(0b1111, 4);
+            w.push_bits(zigzag(i64::MAX), 64);
+            w.push_bit(false);
+        });
+        assert_eq!(overflow.try_decode(), Err(DecodeError::TimestampOverflow { sample: 1 }));
     }
 
     fn chunk_from(samples: &[(i64, f64)]) -> Chunk {

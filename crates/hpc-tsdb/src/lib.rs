@@ -30,8 +30,7 @@
 //!   published view or a short shard read lock, then zone-map-pruned
 //!   decode outside any lock through the chunk cache, with every call
 //!   counted in per-store [`QueryStats`]; plus scan-cost estimation
-//!   ([`estimate_scan`]) and [`window_aggregate`] for a series that lives
-//!   in no store;
+//!   ([`estimate_scan`]);
 //! - [`persist`] — the versioned, checksummed snapshot format
 //!   ([`TsdbStore::snapshot_to`] / [`TsdbStore::open_snapshot`]): series
 //!   metadata, sealed chunks verbatim and active tails — each sample once,
@@ -99,7 +98,7 @@ pub use quality::{
 };
 pub use query::{
     estimate_scan, fanout_aggregate, fanout_group, fanout_workers, store_aggregate,
-    store_windows, window_aggregate, AggOp, GroupValue, Plan, QueryStats, WindowValue,
+    store_windows, AggOp, GroupValue, Plan, QueryStats, WindowValue,
 };
 pub use rollup::Aggregate;
 pub use series::{Series, SeriesMeta};

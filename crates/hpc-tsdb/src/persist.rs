@@ -761,23 +761,17 @@ mod tests {
         store.snapshot_to(&mut buf).unwrap();
         let back = TsdbStore::open_snapshot(&mut &buf[..], StoreConfig::default()).unwrap();
 
-        let id = store.lookup("facility").unwrap();
-        let (orig_zones, orig_agg) = store
-            .with_series(id, |s| {
-                let zones: Vec<Vec<Zone>> =
-                    s.chunks().iter().map(|c| c.zones().unwrap_or(&[]).to_vec()).collect();
-                (zones, s.scan_aggregate(0, i64::MAX))
-            })
-            .unwrap();
+        let zones_and_agg = |st: &TsdbStore, id| {
+            let zones: Vec<Vec<Zone>> = st
+                .with_series(id, |s| {
+                    s.chunks().iter().map(|c| c.zones().unwrap_or(&[]).to_vec()).collect()
+                })
+                .unwrap();
+            (zones, crate::query::store_raw_aggregate(st, id, 0, i64::MAX).unwrap().0)
+        };
+        let (orig_zones, orig_agg) = zones_and_agg(&store, store.lookup("facility").unwrap());
         assert!(orig_zones.iter().any(|z| !z.is_empty()), "compaction left no zones");
-        let rid = back.lookup("facility").unwrap();
-        let (rec_zones, rec_agg) = back
-            .with_series(rid, |s| {
-                let zones: Vec<Vec<Zone>> =
-                    s.chunks().iter().map(|c| c.zones().unwrap_or(&[]).to_vec()).collect();
-                (zones, s.scan_aggregate(0, i64::MAX))
-            })
-            .unwrap();
+        let (rec_zones, rec_agg) = zones_and_agg(&back, back.lookup("facility").unwrap());
         assert_eq!(orig_zones.len(), rec_zones.len());
         for (a, b) in orig_zones.iter().zip(&rec_zones) {
             assert_eq!(a.len(), b.len());
@@ -844,6 +838,49 @@ mod tests {
         }
     }
 
+    fn u32_at(b: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
+    }
+
+    /// Where the "facility" series of a `sample_store()` snapshot lies:
+    /// its block, the end of the block's payload (where the CRC starts),
+    /// and its two sealed-chunk records, `first..second` and `second..end`.
+    struct FacilityLayout {
+        block: usize,
+        payload_end: usize,
+        first: usize,
+        second: usize,
+        end: usize,
+    }
+
+    impl FacilityLayout {
+        fn of(buf: &[u8]) -> Self {
+            // The first series block after the header is "facility", id 0.
+            let block = 8 + 5 + u32_at(buf, 9) as usize + 4;
+            let payload_end = block + 5 + u32_at(buf, block + 1) as usize;
+            let mut at = block + 5 + 8; // past the id
+            at += 4 + u32_at(buf, at) as usize; // name
+            at += 4 + u32_at(buf, at) as usize; // unit
+            at += 8; // interval_hint
+            assert_eq!(u32_at(buf, at), 2, "facility holds two sealed chunks");
+            // A chunk record: count, first_ts, last_ts, len_bits, data_len
+            // (32 bytes), the data, the chunk aggregate and a zero zone
+            // count.
+            let chunk_end = |at: usize| at + 32 + u32_at(buf, at + 28) as usize + 48 + 4;
+            let first = at + 4;
+            let second = chunk_end(first);
+            FacilityLayout { block, payload_end, first, second, end: chunk_end(second) }
+        }
+
+        /// Open `evil` with the facility block's CRC recomputed, so every
+        /// frame checks out and only the decoded structure can refuse it.
+        fn open_resealed(&self, mut evil: Vec<u8>) -> Option<PersistError> {
+            let crc = crc32(&evil[self.block..self.payload_end]);
+            evil[self.payload_end..self.payload_end + 4].copy_from_slice(&crc.to_le_bytes());
+            TsdbStore::open_snapshot(&mut &evil[..], StoreConfig::default()).err()
+        }
+    }
+
     #[test]
     fn swapped_or_mislabelled_chunks_are_malformed() {
         // Every frame checks out, but the chunks break what the rollup
@@ -851,36 +888,44 @@ mod tests {
         let store = sample_store();
         let mut buf = Vec::new();
         store.snapshot_to(&mut buf).unwrap();
-        let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
-        // The first series block after the header is "facility", id 0.
-        let block = 8 + 5 + u32_at(&buf, 9) as usize + 4;
-        let payload_end = block + 5 + u32_at(&buf, block + 1) as usize;
-        let mut at = block + 5 + 8; // past the id
-        at += 4 + u32_at(&buf, at) as usize; // name
-        at += 4 + u32_at(&buf, at) as usize; // unit
-        at += 8; // interval_hint
-        assert_eq!(u32_at(&buf, at), 2, "facility holds two sealed chunks");
-        // A chunk record: count, first_ts, last_ts, len_bits, data_len (32
-        // bytes), the data, the chunk aggregate and a zero zone count.
-        let chunk_end = |at: usize| at + 32 + u32_at(&buf, at + 28) as usize + 48 + 4;
-        let first = at + 4;
-        let second = chunk_end(first);
-        let end = chunk_end(second);
-        let open = |mut evil: Vec<u8>| {
-            let crc = crc32(&evil[block..payload_end]);
-            evil[payload_end..payload_end + 4].copy_from_slice(&crc.to_le_bytes());
-            TsdbStore::open_snapshot(&mut &evil[..], StoreConfig::default()).err()
-        };
+        let l = FacilityLayout::of(&buf);
+        let (first, second, end) = (l.first, l.second, l.end);
         // The samples run backwards across the chunk boundary.
         let mut swapped = buf.clone();
         swapped[first..end].copy_from_slice(&[&buf[second..end], &buf[first..second]].concat());
-        let err = open(swapped);
+        let err = l.open_resealed(swapped);
         assert!(matches!(err, Some(PersistError::Malformed(_))), "{err:?}");
         // The first chunk's header claims a last timestamp its data lacks.
         let mut mislabelled = buf.clone();
         mislabelled[first + 12] ^= 1;
-        let err = open(mislabelled);
+        let err = l.open_resealed(mislabelled);
         assert!(matches!(err, Some(PersistError::Malformed(_))), "{err:?}");
+    }
+
+    #[test]
+    fn undecodable_chunk_data_is_malformed_not_a_panic() {
+        // Recovery decodes every sealed chunk. A CRC-valid image whose
+        // chunk data is not a stream the encoder wrote must be refused
+        // with a typed error, not crash the process opening it.
+        let store = sample_store();
+        let mut buf = Vec::new();
+        store.snapshot_to(&mut buf).unwrap();
+        let l = FacilityLayout::of(&buf);
+        let malformed = |err: Option<PersistError>| match err {
+            Some(PersistError::Malformed(msg)) => assert!(msg.contains("chunk data"), "{msg}"),
+            other => panic!("expected a malformed chunk, got {other:?}"),
+        };
+        // The first chunk claims one sample more than its stream holds.
+        let mut overcounted = buf.clone();
+        let count = u32_at(&buf, l.first);
+        overcounted[l.first..l.first + 4].copy_from_slice(&(count + 1).to_le_bytes());
+        malformed(l.open_resealed(overcounted));
+        // The first chunk's data bytes are overwritten: all-ones bits read
+        // as a 64-bit timestamp delta that overflows `i64`.
+        let data = l.first + 32..l.first + 32 + u32_at(&buf, l.first + 28) as usize;
+        let mut garbage = buf.clone();
+        garbage[data].fill(0xFF);
+        malformed(l.open_resealed(garbage));
     }
 
     #[test]

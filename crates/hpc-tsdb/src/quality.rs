@@ -411,7 +411,7 @@ mod tests {
         assert_eq!(d.chunks_decoded, 0, "warm gap read is served by the chunk cache");
         assert!(d.chunk_cache_hits >= 1);
         assert_eq!(warm.agg.sum.to_bits(), cold.agg.sum.to_bits());
-        let direct = store.with_series(id, |s| s.scan_aggregate(from, to)).unwrap();
+        let direct = store.with_series(id, |s| s.scan_aggregate_reference(from, to)).unwrap();
         assert_eq!(cold.agg.sum.to_bits(), direct.sum.to_bits());
         assert_eq!(cold.agg.count, direct.count);
     }

@@ -146,20 +146,6 @@ fn percentile(mut values: Vec<f64>, p: f64) -> f64 {
     values[rank.clamp(1, values.len()) - 1]
 }
 
-/// Full-moment aggregate over `[from, to)` with rollup-aware planning:
-/// served from the coarsest aligned rollup level, falling back to a raw
-/// scan that decodes directly. This is the one entry point for a series
-/// that lives in no store (what `hpc-telemetry` windows map to); series in
-/// a [`TsdbStore`] are read through the store-level entry points below,
-/// which share the store's chunk cache and count their work in
-/// [`QueryStats`].
-pub fn window_aggregate(series: &Series, from: i64, to: i64) -> Aggregate {
-    match plan_aggregate(series, from, to, AggOp::Mean) {
-        Plan::RawScan => series.scan_aggregate(from, to),
-        rollup => rollup_window(series, from, to, rollup),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Query observability
 // ---------------------------------------------------------------------------
@@ -429,7 +415,7 @@ fn prepare_aggregate(series: &Series, from: i64, to: i64, op: AggOp) -> Prep {
     }
 }
 
-fn window_aggregate_inner(
+fn full_aggregate_inner(
     store: &TsdbStore,
     id: SeriesId,
     from: i64,
@@ -465,7 +451,7 @@ fn aggregate_inner(
         let vals = snapshot_values(store, &snap, from, to);
         return Some((percentile(vals, 95.0), Plan::RawScan));
     }
-    let (agg, plan) = window_aggregate_inner(store, id, from, to)?;
+    let (agg, plan) = full_aggregate_inner(store, id, from, to)?;
     Some((finish(op, &agg), plan))
 }
 
@@ -576,7 +562,8 @@ pub fn store_windows(
 /// and the cadence hint are read together under the published view or a
 /// short shard read lock, and the fold runs outside any lock through the
 /// chunk cache. The aggregate is bit-identical to
-/// [`Series::scan_aggregate`] over the same window. Returns
+/// [`Series::scan_aggregate_reference`] over the same window of the
+/// series as it was before any compaction. Returns
 /// `(aggregate, quarantined, interval_hint)`, or `None` for an unknown id.
 pub(crate) fn store_raw_aggregate(
     store: &TsdbStore,
@@ -701,7 +688,7 @@ impl GroupValue {
 /// and deterministic (input order), so repeated calls are bit-identical.
 pub fn fanout_group(store: &TsdbStore, ids: &[SeriesId], from: i64, to: i64) -> GroupValue {
     let t = Instant::now();
-    let per_series = fanout_map(ids, |id| window_aggregate_inner(store, id, from, to));
+    let per_series = fanout_map(ids, |id| full_aggregate_inner(store, id, from, to));
     let mut group =
         GroupValue { series: 0, missing: 0, sum_of_means: 0.0, total: Aggregate::new() };
     for entry in per_series {
@@ -839,7 +826,7 @@ mod tests {
                 for b in s.minutes().buckets_in(from, to) {
                     minutes.merge(&b.agg);
                 }
-                (s.scan_aggregate(from, to), minutes)
+                (s.scan_aggregate_reference(from, to), minutes)
             })
             .unwrap();
         assert!((hourly - raw.mean()).abs() < 1e-9, "rollup {hourly} vs raw {}", raw.mean());

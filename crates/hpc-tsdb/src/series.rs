@@ -38,12 +38,6 @@ pub struct Series {
     /// aggregate is by construction. In-memory diagnostic state; not part
     /// of the snapshot format.
     quarantined: Vec<QuarantinedSample>,
-    /// Monotonic count of mutations (appends, quarantines, compactions).
-    /// [`crate::ReadView`] publication compares it against the previous
-    /// view's stamp to reuse the frozen `Arc<Series>` of an unchanged
-    /// series instead of re-cloning it. Not persisted; a recovered series
-    /// restarts at zero, which only costs one fresh clone.
-    mutations: u64,
 }
 
 impl Series {
@@ -58,7 +52,6 @@ impl Series {
             total: Aggregate::new(),
             chunk_samples: CHUNK_SAMPLES,
             quarantined: Vec::new(),
-            mutations: 0,
         }
     }
 
@@ -137,7 +130,8 @@ impl Series {
     /// [`Self::append`] runs, so they equal the live series' bit for bit.
     ///
     /// # Errors
-    /// [`PersistError::Malformed`] if the parts break what that fold
+    /// [`PersistError::Malformed`] if a sealed chunk's data does not decode
+    /// (see [`crate::chunk::DecodeError`]) or the parts break what the fold
     /// assumes: a sealed chunk whose decoded first or last timestamp
     /// disagrees with its header, or a sample not strictly after the one
     /// before it, across chunks and into the tail.
@@ -155,7 +149,9 @@ impl Series {
             _ => Ok(()),
         };
         for chunk in &sealed {
-            let samples = chunk.decode();
+            let samples = chunk
+                .try_decode()
+                .map_err(|e| PersistError::Malformed(format!("chunk data: {e}")))?;
             let ends = samples.first().zip(samples.last()).map(|(a, b)| (a.0, b.0));
             let header = (chunk.first_ts(), chunk.last_ts());
             if ends != Some(header) {
@@ -177,16 +173,9 @@ impl Series {
         Ok(series)
     }
 
-    /// Mutations applied to this series so far (appends, quarantines,
-    /// compactions). Used by view publication to detect unchanged series.
-    pub fn mutation_count(&self) -> u64 {
-        self.mutations
-    }
-
     /// Record a sample refused by sanitisation into the quality mask. The
     /// sample is *not* stored and contributes to no aggregate.
     pub fn quarantine(&mut self, sample: QuarantinedSample) {
-        self.mutations += 1;
         self.quarantined.push(sample);
     }
 
@@ -210,7 +199,6 @@ impl Series {
     /// # Panics
     /// Panics if `ts` is not strictly after the last appended timestamp.
     pub fn append(&mut self, ts: i64, value: f64) {
-        self.mutations += 1;
         if self.active.len() >= self.chunk_samples {
             let full = std::mem::take(&mut self.active);
             self.sealed.push(full.seal());
@@ -256,35 +244,12 @@ impl Series {
         self.active.decode().into_iter().filter(|&(t, _)| t >= from && t < to).collect()
     }
 
-    /// Aggregate of all samples in `[from, to)` computed by raw scan,
-    /// using columnar decode and zone maps where available.
-    ///
-    /// For a zone-mapped (compacted) chunk the fold walks the zones in
-    /// order, merging the pre-computed aggregate of every zone fully
-    /// inside the window and pushing the in-window values of partial
-    /// zones — exactly the chunk-level sequence the pre-compaction store
-    /// performed over the source chunks, so answers stay bit-identical
-    /// (see [`Self::scan_aggregate_reference`]).
-    pub fn scan_aggregate(&self, from: i64, to: i64) -> Aggregate {
-        let mut agg = Aggregate::new();
-        let mut fetch = |c: &Chunk| std::sync::Arc::new(c.decode_columns());
-        for chunk in &self.sealed {
-            if !chunk.overlaps(from, to) {
-                continue;
-            }
-            fold_chunk_aggregate(chunk, from, to, &mut fetch, &mut agg);
-        }
-        for (_, v) in self.active_samples_in(from, to) {
-            agg.push(v);
-        }
-        agg
-    }
-
     /// The pre-columnar scalar reference kernel: sample-by-sample row
     /// decode with a per-sample window filter, no zone maps, no columnar
-    /// blocks. Kept verbatim as (a) the bit-identity oracle the columnar
-    /// path is property-tested against and (b) the in-run "before" timing
-    /// baseline for the query benchmark.
+    /// blocks, no cache. Kept verbatim as (a) the bit-identity oracle the
+    /// store's raw read path is property-tested against (on an uncompacted
+    /// series, since it ignores zone maps) and (b) the in-run "before"
+    /// timing baseline for the query benchmark.
     pub fn scan_aggregate_reference(&self, from: i64, to: i64) -> Aggregate {
         let mut agg = Aggregate::new();
         // Whole-chunk fast path: chunks fully inside the window contribute
@@ -381,9 +346,6 @@ impl Series {
         }
         flush(&mut run, &mut out, &mut rewritten);
         self.sealed = out;
-        if rewritten > 0 {
-            self.mutations += 1;
-        }
         rewritten
     }
 }
@@ -391,8 +353,8 @@ impl Series {
 /// Fold one sealed chunk's contribution to `[from, to)` into `agg`, zone
 /// maps honoured, decode deferred until a partial zone or partial
 /// zone-less chunk forces it. `fetch` supplies the decoded columns (the
-/// query layer routes it through the store's chunk cache; the series
-/// level decodes directly) and is called **at most once** per chunk.
+/// query layer routes it through the store's chunk cache) and is called
+/// **at most once** per chunk.
 /// Returns the number of blocks pruned — zones (or, for a zone-less
 /// chunk, the whole chunk as one block) answered without touching sample
 /// data, either skipped outright or served from their pre-computed
@@ -446,6 +408,7 @@ pub(crate) fn fold_chunk_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::TsdbStore;
 
     fn meta() -> SeriesMeta {
         SeriesMeta { name: "test".into(), unit: "kW".into(), interval_hint: 60 }
@@ -482,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_aggregate_matches_naive() {
+    fn scan_aggregate_reference_matches_naive() {
         let mut s = Series::new(meta());
         let n = CHUNK_SAMPLES * 2 + 100;
         let vals: Vec<f64> = (0..n).map(|i| (f64::from(i) * 0.7).sin() * 50.0 + 400.0).collect();
@@ -492,7 +455,7 @@ mod tests {
         // Window crossing the chunk boundary: includes a full middle chunk.
         let from = 100i64 * 60;
         let to = i64::from(CHUNK_SAMPLES * 2 + 50) * 60;
-        let agg = s.scan_aggregate(from, to);
+        let agg = s.scan_aggregate_reference(from, to);
         let slice = &vals[100..(CHUNK_SAMPLES * 2 + 50) as usize];
         let naive_mean = slice.iter().sum::<f64>() / slice.len() as f64;
         assert_eq!(agg.count, slice.len() as u64);
@@ -503,15 +466,17 @@ mod tests {
 
     #[test]
     fn compact_rewrites_runs_and_preserves_answers_bit_for_bit() {
-        let mut s = Series::new(meta());
+        let store = TsdbStore::default();
+        let id = store.register(meta());
         let n = CHUNK_SAMPLES * 5 + 123; // 5 sealed chunks + active tail
         for i in 0..n {
-            s.append(i64::from(i) * 60, (f64::from(i) * 0.37).sin() * 900.0 + 2500.0);
+            store.append(id, i64::from(i) * 60, (f64::from(i) * 0.37).sin() * 900.0 + 2500.0);
         }
-        let mut reference = s.clone();
-        assert_eq!(s.chunks().len(), 5);
-        let rewritten = s.compact(CHUNK_SAMPLES * 4);
-        assert_eq!(rewritten, 4, "a 4-chunk run plus a leftover single");
+        let mut reference = store.with_series(id, Series::clone).unwrap();
+        assert_eq!(reference.chunks().len(), 5);
+        let stats = store.compact_with(CHUNK_SAMPLES * 4);
+        assert_eq!(stats.chunks_compacted, 4, "a 4-chunk run plus a leftover single");
+        let s = store.with_series(id, Series::clone).unwrap();
         assert_eq!(s.chunks().len(), 2);
         let zoned = &s.chunks()[0];
         assert_eq!(zoned.len(), CHUNK_SAMPLES * 4);
@@ -524,9 +489,11 @@ mod tests {
             assert_eq!(z.agg.sum.to_bits(), src.aggregate().sum.to_bits());
             assert_eq!(z.agg.count, src.aggregate().count);
         }
-        // Every read path agrees with the uncompacted clone, bit for bit:
+        // The store's raw read path over the compacted series agrees with
+        // the reference kernel over the uncompacted clone, bit for bit:
         // full range, chunk-interior windows, zone-straddling windows,
         // ragged tails into the active chunk.
+        let raw = |from, to| crate::query::store_raw_aggregate(&store, id, from, to).unwrap().0;
         let span = i64::from(n) * 60;
         let windows = [
             (i64::MIN, i64::MAX),
@@ -537,7 +504,7 @@ mod tests {
             (i64::from(CHUNK_SAMPLES * 5) * 60 - 60, span + 3600),
         ];
         for &(from, to) in &windows {
-            let a = s.scan_aggregate(from, to);
+            let a = raw(from, to);
             let b = reference.scan_aggregate_reference(from, to);
             assert_eq!(a.count, b.count, "window [{from}, {to})");
             assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "window [{from}, {to})");
@@ -547,14 +514,14 @@ mod tests {
             assert_eq!(s.scan(from, to), reference.scan(from, to));
         }
         // Compacting again is a no-op: zoned chunks pass through.
-        assert_eq!(s.compact(CHUNK_SAMPLES * 4), 0);
-        assert_eq!(s.chunks().len(), 2);
+        assert_eq!(store.compact_with(CHUNK_SAMPLES * 4).chunks_compacted, 0);
+        assert_eq!(store.with_series(id, |s| s.chunks().len()), Some(2));
         // Appends continue normally after compaction.
         for i in n..n + CHUNK_SAMPLES {
-            s.append(i64::from(i) * 60, 1.0);
+            store.append(id, i64::from(i) * 60, 1.0);
             reference.append(i64::from(i) * 60, 1.0);
         }
-        let a = s.scan_aggregate(i64::MIN, i64::MAX);
+        let a = raw(i64::MIN, i64::MAX);
         let b = reference.scan_aggregate_reference(i64::MIN, i64::MAX);
         assert_eq!(a.count, b.count);
         assert_eq!(a.sum.to_bits(), b.sum.to_bits());
@@ -582,7 +549,7 @@ mod tests {
         // Hour 5 via rollups vs raw.
         let from = 5 * 3600;
         let to = 6 * 3600;
-        let raw = s.scan_aggregate(from, to);
+        let raw = s.scan_aggregate_reference(from, to);
         let mut rolled = Aggregate::new();
         for b in s.minutes().buckets_in(from, to) {
             rolled.merge(&b.agg);

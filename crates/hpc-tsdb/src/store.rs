@@ -92,14 +92,6 @@ struct Shard {
     series: HashMap<u64, Series>,
 }
 
-/// One series frozen into a [`ReadView`], stamped with the mutation count
-/// it was cloned at so the next publication can reuse the `Arc` when the
-/// live series has not moved.
-struct ViewEntry {
-    mutations: u64,
-    frozen: Arc<Series>,
-}
-
 /// An immutable, epoch-stamped snapshot of every series in the store.
 ///
 /// A view is *published*: built under short per-shard read locks once
@@ -119,7 +111,7 @@ struct ViewEntry {
 /// view before the extra could ever be served as stale.
 pub struct ReadView {
     generation: u64,
-    series: HashMap<u64, ViewEntry>,
+    series: HashMap<u64, Arc<Series>>,
 }
 
 impl ReadView {
@@ -135,7 +127,7 @@ impl ReadView {
 
     /// The frozen series for `id`, if it was registered at publication.
     pub fn get(&self, id: SeriesId) -> Option<&Arc<Series>> {
-        self.series.get(&id.0).map(|e| &e.frozen)
+        self.series.get(&id.0)
     }
 }
 
@@ -209,27 +201,18 @@ impl TsdbStore {
 
     /// Publish an immutable [`ReadView`] of every series, stamped with the
     /// generation read *before* the shards are walked (so the stamp is
-    /// conservative — see [`ReadView`]). Series unchanged since the last
-    /// publication are re-shared, not re-cloned. Costs one short read lock
-    /// per shard; meant for epoch boundaries (a campaign serve step, the
-    /// end of a compaction pass), not for per-sample ingest paths.
+    /// conservative — see [`ReadView`]). Every series is cloned: sealed
+    /// chunks by refcount, the active tail and rollup levels by copy. Costs
+    /// one short read lock per shard; meant for epoch boundaries (a
+    /// campaign serve step, the end of a compaction pass), not for
+    /// per-sample ingest paths.
     pub fn publish_view(&self) -> Arc<ReadView> {
         let generation = self.generation();
-        let old = self.view.read().clone();
-        let mut series = HashMap::with_capacity(old.series.len().max(self.series_count()));
+        let mut series = HashMap::with_capacity(self.series_count());
         for shard in self.shards.iter() {
             let shard = shard.read();
             for (&id, live) in shard.series.iter() {
-                let entry = match old.series.get(&id) {
-                    Some(e) if e.mutations == live.mutation_count() => {
-                        ViewEntry { mutations: e.mutations, frozen: Arc::clone(&e.frozen) }
-                    }
-                    _ => ViewEntry {
-                        mutations: live.mutation_count(),
-                        frozen: Arc::new(live.clone()),
-                    },
-                };
-                series.insert(id, entry);
+                series.insert(id, Arc::new(live.clone()));
             }
         }
         let view = Arc::new(ReadView { generation, series });
@@ -712,27 +695,6 @@ mod tests {
         assert_eq!(store.with_series_read(id, |s| s.len()), Some(101));
         // Holders of the retired view still see the old world, unchanged.
         assert_eq!(view.get(id).unwrap().len(), 100);
-    }
-
-    #[test]
-    fn republish_reuses_unchanged_series() {
-        let store = TsdbStore::default();
-        let a = store.register(meta("a"));
-        let b = store.register(meta("b"));
-        store.append(a, 0, 1.0);
-        store.append(b, 0, 2.0);
-        let v1 = store.publish_view();
-        store.append(a, 60, 3.0);
-        let v2 = store.publish_view();
-        assert!(
-            Arc::ptr_eq(v1.get(b).unwrap(), v2.get(b).unwrap()),
-            "untouched series must be re-shared, not re-cloned"
-        );
-        assert!(
-            !Arc::ptr_eq(v1.get(a).unwrap(), v2.get(a).unwrap()),
-            "mutated series must be freshly frozen"
-        );
-        assert_eq!(v2.get(a).unwrap().len(), 2);
     }
 
     #[test]

@@ -35,5 +35,5 @@ pub use dist::{Categorical, Distribution, Exponential, LogNormal, Normal, Unifor
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
 pub use sim::{Simulation, StepOutcome, World};
-pub use stats::{Ewma, Histogram, OnlineStats, Quantiles};
+pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime, Stamp};

@@ -1,5 +1,4 @@
-//! Online statistics: Welford accumulators, fixed-bin histograms, EWMA and a
-//! P² streaming quantile estimator.
+//! Online statistics: Welford accumulators and fixed-bin histograms.
 //!
 //! A five-month campaign at 15-minute sampling produces ~14k cabinet power
 //! samples per component stream and millions of per-job records; everything
@@ -26,17 +25,6 @@ impl OnlineStats {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
-    }
-
-    /// Reconstruct an accumulator from externally computed moments — the
-    /// bridge from pre-aggregated storage (e.g. `hpc-tsdb` rollup buckets,
-    /// which carry the same Welford moments) back into the stats API.
-    /// An `n` of zero ignores the other arguments and yields `new()`.
-    pub fn from_moments(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        if n == 0 {
-            return OnlineStats::new();
-        }
-        OnlineStats { n, mean, m2, min, max }
     }
 
     /// Add one observation.
@@ -125,39 +113,6 @@ impl OnlineStats {
     /// Sum of all observations.
     pub fn sum(&self) -> f64 {
         self.mean() * self.n as f64
-    }
-}
-
-/// Exponentially weighted moving average.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Create with smoothing factor `alpha` in `(0, 1]`.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "EWMA alpha must be in (0,1], got {alpha}");
-        Ewma { alpha, value: None }
-    }
-
-    /// Feed one observation and return the updated average.
-    pub fn push(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, if any observation has been fed.
-    pub fn value(&self) -> Option<f64> {
-        self.value
     }
 }
 
@@ -269,131 +224,10 @@ impl Histogram {
     }
 }
 
-/// Streaming quantile tracker using the P² algorithm (Jain & Chlamtac 1985)
-/// for a single target quantile — O(1) memory, no sample retention.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Quantiles {
-    p: f64,
-    // Marker heights and positions; first 5 observations fill `init`.
-    q: [f64; 5],
-    n: [f64; 5],
-    np: [f64; 5],
-    dn: [f64; 5],
-    init: Vec<f64>,
-}
-
-impl Quantiles {
-    /// Track quantile `p` in `(0, 1)`.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `(0, 1)`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "quantile must be in (0,1), got {p}");
-        Quantiles {
-            p,
-            q: [0.0; 5],
-            n: [0.0; 5],
-            np: [0.0; 5],
-            dn: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            init: Vec::with_capacity(5),
-        }
-    }
-
-    /// Feed one observation.
-    pub fn push(&mut self, x: f64) {
-        if self.init.len() < 5 {
-            self.init.push(x);
-            if self.init.len() == 5 {
-                self.init.sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-                for i in 0..5 {
-                    self.q[i] = self.init[i];
-                    self.n[i] = (i + 1) as f64;
-                }
-                self.np = [
-                    1.0,
-                    1.0 + 2.0 * self.p,
-                    1.0 + 4.0 * self.p,
-                    3.0 + 2.0 * self.p,
-                    5.0,
-                ];
-            }
-            return;
-        }
-
-        // Find cell k containing x, adjusting extreme markers.
-        let k = if x < self.q[0] {
-            self.q[0] = x;
-            0
-        } else if x >= self.q[4] {
-            self.q[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if x >= self.q[i] && x < self.q[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-
-        for i in (k + 1)..5 {
-            self.n[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.np[i] += self.dn[i];
-        }
-
-        // Adjust interior markers with parabolic interpolation.
-        for i in 1..4 {
-            let d = self.np[i] - self.n[i];
-            if (d >= 1.0 && self.n[i + 1] - self.n[i] > 1.0) || (d <= -1.0 && self.n[i - 1] - self.n[i] < -1.0) {
-                let d = d.signum();
-                let qn = self.parabolic(i, d);
-                self.q[i] = if self.q[i - 1] < qn && qn < self.q[i + 1] {
-                    qn
-                } else {
-                    self.linear(i, d)
-                };
-                self.n[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let q = &self.q;
-        let n = &self.n;
-        q[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.q[i] + d * (self.q[j] - self.q[i]) / (self.n[j] - self.n[i])
-    }
-
-    /// Current estimate, or `None` before any observation.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.init.len() < 5 {
-            if self.init.is_empty() {
-                return None;
-            }
-            // Small-sample fallback: nearest-rank on the buffered values.
-            let mut v = self.init.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-            let idx = ((self.p * v.len() as f64).ceil() as usize).clamp(1, v.len()) - 1;
-            return Some(v[idx]);
-        }
-        Some(self.q[2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Distribution, Normal, Uniform};
+    use crate::dist::{Distribution, Uniform};
     use crate::rng::Xoshiro256StarStar;
 
     #[test]
@@ -443,22 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn from_moments_roundtrips_accumulator() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        let rebuilt =
-            OnlineStats::from_moments(s.count(), s.mean(), s.variance() * s.count() as f64, s.min(), s.max());
-        assert_eq!(rebuilt.count(), s.count());
-        assert!((rebuilt.mean() - s.mean()).abs() < 1e-12);
-        assert!((rebuilt.variance() - s.variance()).abs() < 1e-12);
-        assert_eq!(rebuilt.min(), s.min());
-        assert_eq!(rebuilt.max(), s.max());
-        assert_eq!(OnlineStats::from_moments(0, 9.9, 9.9, 9.9, 9.9), OnlineStats::new());
-    }
-
-    #[test]
     fn merge_with_empty_is_identity() {
         let mut a = OnlineStats::new();
         a.push(1.0);
@@ -470,22 +288,6 @@ mod tests {
         let mut empty = OnlineStats::new();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let mut e = Ewma::new(0.3);
-        assert_eq!(e.value(), None);
-        for _ in 0..100 {
-            e.push(10.0);
-        }
-        assert!((e.value().unwrap() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_first_value_passthrough() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.push(42.0), 42.0);
     }
 
     #[test]
@@ -546,40 +348,5 @@ mod tests {
         o.push(2.5);
         o.push(99.0);
         assert_eq!(o.quantile(1.0), Some(10.0));
-    }
-
-    #[test]
-    fn p2_median_of_normal() {
-        let d = Normal::new(100.0, 15.0);
-        let mut rng = Xoshiro256StarStar::seeded(12);
-        let mut q = Quantiles::new(0.5);
-        for _ in 0..100_000 {
-            q.push(d.sample(&mut rng));
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 100.0).abs() < 0.5, "median estimate {est}");
-    }
-
-    #[test]
-    fn p2_tail_quantile_of_uniform() {
-        let d = Uniform::new(0.0, 1.0);
-        let mut rng = Xoshiro256StarStar::seeded(13);
-        let mut q = Quantiles::new(0.95);
-        for _ in 0..100_000 {
-            q.push(d.sample(&mut rng));
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 0.95).abs() < 0.01, "p95 estimate {est}");
-    }
-
-    #[test]
-    fn p2_small_sample_fallback() {
-        let mut q = Quantiles::new(0.5);
-        assert_eq!(q.estimate(), None);
-        q.push(3.0);
-        q.push(1.0);
-        q.push(2.0);
-        // nearest-rank median of {1,2,3} = 2.
-        assert_eq!(q.estimate(), Some(2.0));
     }
 }

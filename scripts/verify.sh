@@ -68,6 +68,8 @@ if [ -s BENCH_tsdb_query.ref.json ]; then
     else
         awk -v r="$ref" -v f="$fresh" 'BEGIN { exit !(f >= 0.9 * r) }' \
             || { echo "speedup_columnar regressed >10%: $fresh vs reference $ref" >&2; exit 1; }
+        lim=$(awk -v r="$ref" 'BEGIN { print 0.9 * r }')
+        echo "pass: speedup_columnar $fresh (reference $ref, limit >= $lim)"
     fi
     rm -f BENCH_tsdb_query.ref.json
 else
@@ -166,6 +168,8 @@ if [ -s BENCH_tsdb_serve.ref.json ]; then
         awk -v r="$ref" -v f="$fresh" \
             'BEGIN { lim = 1.1 * r; if (lim < 145) lim = 145; exit !(f <= lim) }' \
             || { echo "ingest_degradation_pct regressed >10%: $fresh vs reference $ref" >&2; exit 1; }
+        lim=$(awk -v r="$ref" 'BEGIN { lim = 1.1 * r; if (lim < 145) lim = 145; print lim }')
+        echo "pass: ingest_degradation_pct $fresh (reference $ref, limit <= $lim)"
     fi
     rm -f BENCH_tsdb_serve.ref.json
 else

@@ -4,7 +4,7 @@
 //!   this workspace's kernels use, returning ordinary sequential `std`
 //!   iterators (semantics identical to rayon for order-independent bodies;
 //!   only the speedup is absent there);
-//! * the structured-concurrency core — [`scope`], [`join`] and
+//! * the structured-concurrency core — [`scope`] and
 //!   [`current_num_threads`] — implemented over `std::thread::scope`, so
 //!   callers that fan work out in coarse chunks (one spawn per worker, not
 //!   per item) get **real** multi-core execution with rayon's API shape.
@@ -47,22 +47,6 @@ where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
 {
     std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
-/// Run two closures, potentially in parallel, returning both results —
-/// `rayon::join`. The first runs on a scoped thread, the second inline.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let ha = s.spawn(a);
-        let rb = b();
-        (ha.join().expect("rayon::join task panicked"), rb)
-    })
 }
 
 /// The rayon-style prelude: import `*` to get the `par_*` methods.
@@ -119,6 +103,7 @@ mod tests {
             }
         });
         assert_eq!(partials.iter().sum::<u64>(), 1000 * 999 / 2);
+        assert!(super::current_num_threads() >= 1);
     }
 
     #[test]
@@ -131,13 +116,6 @@ mod tests {
             });
         });
         assert!(inner_ran);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = super::join(|| 6 * 7, || "hi".len());
-        assert_eq!((a, b), (42, 2));
-        assert!(super::current_num_threads() >= 1);
     }
 
     #[test]

@@ -4,15 +4,38 @@
 //! timestamp spacing, and rollup-planned aggregates must agree with raw
 //! chunk scans on any aligned window.
 
-use archer2_repro::tsdb::query::{window_aggregate, AggOp};
 use archer2_repro::tsdb::{
-    fanout_aggregate, store_aggregate, store_gap_aggregate, store_windows, Aggregate,
-    SampleFate, SanitizeConfig, Sanitizer, Series, SeriesMeta, TsdbStore,
+    fanout_aggregate, fanout_group, store_aggregate, store_gap_aggregate, store_windows,
+    AggOp, Aggregate, Plan, SampleFate, SanitizeConfig, Sanitizer, Series, SeriesId,
+    SeriesMeta, TsdbStore,
 };
 use proptest::prelude::*;
 
 fn meta() -> SeriesMeta {
     SeriesMeta { name: "prop".into(), unit: "kW".into(), interval_hint: 60 }
+}
+
+/// `vals` at a one-minute cadence from `t = 0`, in a one-series store.
+fn minutely_store(vals: &[f64]) -> (TsdbStore, SeriesId) {
+    let store = TsdbStore::default();
+    let id = store.register(meta());
+    for (i, &v) in vals.iter().enumerate() {
+        store.append(id, i as i64 * 60, v);
+    }
+    (store, id)
+}
+
+/// The store's full-moment aggregate over `[from, to)` as its planner
+/// serves it (rollup buckets when the window is aligned), with the plan.
+fn planned(store: &TsdbStore, id: SeriesId, from: i64, to: i64) -> (Aggregate, Plan) {
+    let (_, plan) = store_aggregate(store, id, from, to, AggOp::Mean).unwrap();
+    (fanout_group(store, &[id], from, to).total, plan)
+}
+
+/// The store's raw-scan aggregate over `[from, to)`: every present sample,
+/// through the chunk cache and zone maps, never a rollup bucket.
+fn raw(store: &TsdbStore, id: SeriesId, from: i64, to: i64) -> Aggregate {
+    store_gap_aggregate(store, id, from, to).unwrap().agg
 }
 
 /// Any `f64` bit pattern, with the codec's edge cases oversampled.
@@ -97,10 +120,7 @@ proptest! {
         b in 0usize..2000,
     ) {
         // Minutely cadence so both rollup levels fill.
-        let mut s = Series::new(meta());
-        for (i, &v) in vals.iter().enumerate() {
-            s.append(i as i64 * 60, v);
-        }
+        let (store, id) = minutely_store(&vals);
         // Snap an arbitrary index window to hour alignment: the planner
         // must serve it from rollups, and the answer must match the raw
         // chunk scan moment for moment.
@@ -108,8 +128,9 @@ proptest! {
         let from = (a as i64 * 60).min(span) / 3600 * 3600;
         let to = (b as i64 * 60).min(span) / 3600 * 3600;
         let (from, to) = (from.min(to), from.max(to));
-        let planned = window_aggregate(&s, from, to);
-        let raw = s.scan_aggregate(from, to);
+        let (planned, plan) = planned(&store, id, from, to);
+        prop_assert_eq!(plan, Plan::HourRollup);
+        let raw = raw(&store, id, from, to);
         prop_assert_eq!(planned.count, raw.count);
         if raw.count > 0 {
             prop_assert!((planned.mean() - raw.mean()).abs() < 1e-9);
@@ -129,16 +150,14 @@ proptest! {
         // last sample, so the final rollup bucket in range is the one still
         // filling. The hour level only receives minute buckets when they
         // seal, so this exercises the open-minute patch-up.
-        let mut s = Series::new(meta());
-        for (i, &v) in vals.iter().enumerate() {
-            s.append(i as i64 * 60, v);
-        }
+        let (store, id) = minutely_store(&vals);
         let span = vals.len() as i64 * 60;
         for unit in [3600i64, 60] {
             let to = (span + unit - 1) / unit * unit; // ≥ span: past the tail
             let from = (from_units * unit).min(to);
-            let planned = window_aggregate(&s, from, to);
-            let raw = s.scan_aggregate(from, to);
+            let (planned, plan) = planned(&store, id, from, to);
+            prop_assert!(plan != Plan::RawScan, "unit {}s: planned {:?}", unit, plan);
+            let raw = raw(&store, id, from, to);
             prop_assert_eq!(planned.count, raw.count, "unit {}s: count", unit);
             if raw.count > 0 {
                 prop_assert!((planned.mean() - raw.mean()).abs() < 1e-9, "unit {}s", unit);
@@ -202,11 +221,7 @@ proptest! {
     ) {
         // Windowing is a partition: counts sum to the total and every
         // window mean stays inside the window's own min/max.
-        let store = TsdbStore::default();
-        let id = store.register(meta());
-        for (i, &v) in vals.iter().enumerate() {
-            store.append(id, i as i64 * 60, v);
-        }
+        let (store, id) = minutely_store(&vals);
         let span = vals.len() as i64 * 60;
         let step = step_minutes * 60;
         let windows = store_windows(&store, id, 0, span, step, AggOp::Mean).unwrap();
@@ -214,8 +229,7 @@ proptest! {
         prop_assert_eq!(total, vals.len() as u64);
         for w in &windows {
             if w.count > 0 {
-                let agg =
-                    store.with_series(id, |s| s.scan_aggregate(w.start, w.start + step)).unwrap();
+                let agg = raw(&store, id, w.start, w.start + step);
                 prop_assert!(w.value >= agg.min - 1e-9 && w.value <= agg.max + 1e-9);
             }
         }
@@ -251,39 +265,41 @@ proptest! {
         windows in proptest::collection::vec((0i64..400_000, 0i64..400_000), 1..6),
     ) {
         // Three-way bit-identity over random shapes, ragged-tail windows
-        // and NaN-adjacent values: the columnar fold must equal the
-        // retained row-iterator reference, and compaction must change
+        // and NaN-adjacent values: the store's columnar raw fold must equal
+        // the retained row-iterator reference, and compaction must change
         // neither aggregates nor row scans in a single bit.
-        let mut s = Series::new(meta());
+        let store = TsdbStore::default();
+        let id = store.register(meta());
         let mut ts = 0i64;
         for &(delta, v) in &samples {
             ts += delta;
-            s.append(ts, v);
+            store.append(id, ts, v);
         }
+        let uncompacted = store.with_series(id, Series::clone).unwrap();
         let mut wins: Vec<(i64, i64)> =
             windows.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
         wins.push((0, ts + 1)); // ragged tail: just past the last sample
         wins.push((ts / 2, i64::MAX)); // half-open into the far future
-        for &(from, to) in &wins {
+        let before: Vec<_> = wins.iter().map(|&(f, t)| agg_bits(&raw(&store, id, f, t))).collect();
+        for (&(from, to), bits) in wins.iter().zip(&before) {
             prop_assert_eq!(
-                agg_bits(&s.scan_aggregate(from, to)),
-                agg_bits(&s.scan_aggregate_reference(from, to)),
+                bits,
+                &agg_bits(&uncompacted.scan_aggregate_reference(from, to)),
                 "columnar vs reference diverged on [{}, {})", from, to
             );
         }
-        let before: Vec<_> = wins.iter().map(|&(f, t)| agg_bits(&s.scan_aggregate(f, t))).collect();
-        let rows_before = s.scan(i64::MIN, i64::MAX);
-        let rewritten = s.compact(1024);
-        if s.chunks().iter().any(|c| c.zones().is_some()) {
+        let rows_before = uncompacted.scan(i64::MIN, i64::MAX);
+        let rewritten = store.compact_with(1024).chunks_compacted;
+        if store.with_series(id, |s| s.chunks().iter().any(|c| c.zones().is_some())).unwrap() {
             prop_assert!(rewritten > 0);
         }
         for (&(from, to), bits) in wins.iter().zip(&before) {
             prop_assert_eq!(
-                &agg_bits(&s.scan_aggregate(from, to)), bits,
+                &agg_bits(&raw(&store, id, from, to)), bits,
                 "compaction changed the answer on [{}, {})", from, to
             );
         }
-        let rows_after = s.scan(i64::MIN, i64::MAX);
+        let rows_after = store.with_series(id, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
         prop_assert_eq!(rows_before.len(), rows_after.len());
         for (&(t0, v0), &(t1, v1)) in rows_before.iter().zip(&rows_after) {
             prop_assert_eq!(t0, t1);
@@ -437,12 +453,10 @@ proptest! {
             prop_assert_eq!(sv.to_bits(), kv.to_bits());
         }
 
-        // The running total and the rollup-planned full-range aggregate
-        // agree with a brute-force fold over the kept samples only.
+        // The running total and the planned full-range aggregate agree
+        // with a brute-force fold over the kept samples only.
         let total = store.with_series(id, |s| *s.total_aggregate()).unwrap();
-        let planned = store
-            .with_series(id, |s| window_aggregate(s, i64::MIN / 2, i64::MAX / 2))
-            .unwrap();
+        let (planned, _) = planned(&store, id, i64::MIN / 2, i64::MAX / 2);
         prop_assert_eq!(total.count, kept.len() as u64);
         prop_assert_eq!(planned.count, kept.len() as u64);
         if !kept.is_empty() {
