@@ -4,26 +4,112 @@
 //! placement sensitivity (switch power is load-insensitive), so the
 //! allocator just tracks the free set. Nodes are handed out lowest-id-first
 //! to keep allocation deterministic for reproducible campaigns.
+//!
+//! The free and offline sets are bitsets: node `i` is bit `i % 64` of word
+//! `i / 64`, and each set keeps a running count of its members. A
+//! paper-scale campaign starts and releases about 18 M nodes, and each of
+//! those is one bit operation; an allocation is a scan over the words that
+//! takes the set bits of each with `trailing_zeros`, so it picks the same
+//! lowest ids an ordered set would.
 
 use hpc_topo::NodeId;
-use std::collections::BTreeSet;
+
+/// Nodes per bitset word.
+const WORD_BITS: u32 = u64::BITS;
+
+/// A set of node ids below a fixed bound, as a bitset with its size.
+#[derive(Debug, Clone)]
+struct NodeSet {
+    words: Vec<u64>,
+    len: u32,
+}
+
+impl NodeSet {
+    /// No node of a `total`-node machine.
+    fn empty(total: u32) -> Self {
+        NodeSet { words: vec![0; total.div_ceil(WORD_BITS) as usize], len: 0 }
+    }
+
+    /// Every node of a `total`-node machine; the bits past `total` in the
+    /// last word stay clear.
+    fn full(total: u32) -> Self {
+        let mut set = NodeSet::empty(total);
+        set.words.fill(u64::MAX);
+        let tail = total % WORD_BITS;
+        if tail != 0 {
+            *set.words.last_mut().expect("a partial word exists") = (1 << tail) - 1;
+        }
+        set.len = total;
+        set
+    }
+
+    /// Word index and bit mask of `id`.
+    fn slot(id: NodeId) -> (usize, u64) {
+        ((id.0 / WORD_BITS) as usize, 1 << (id.0 % WORD_BITS))
+    }
+
+    fn contains(&self, id: NodeId) -> bool {
+        let (w, bit) = Self::slot(id);
+        self.words.get(w).is_some_and(|word| word & bit != 0)
+    }
+
+    /// Add `id` (which must lie below the bound); `false` if it was there.
+    ///
+    /// Test, then set. The branch-free form (set the bit, then add the
+    /// bool test to `len`) is miscompiled by rustc 1.95 in optimised
+    /// builds without debug assertions: under `release`'s assert the count
+    /// stays put while the bit is set.
+    fn insert(&mut self, id: NodeId) -> bool {
+        let added = !self.contains(id);
+        if added {
+            let (w, bit) = Self::slot(id);
+            self.words[w] |= bit;
+            self.len += 1;
+        }
+        added
+    }
+
+    /// Remove `id`; `false` if it was not there.
+    fn remove(&mut self, id: NodeId) -> bool {
+        let present = self.contains(id);
+        if present {
+            let (w, bit) = Self::slot(id);
+            self.words[w] &= !bit;
+            self.len -= 1;
+        }
+        present
+    }
+
+    /// Remove and return the `n` lowest members, in ascending order.
+    /// The caller checks that the set holds at least `n`.
+    fn take_lowest(&mut self, n: u32) -> Vec<NodeId> {
+        let mut picked = Vec::with_capacity(n as usize);
+        for (w, word) in (0..).zip(&mut self.words) {
+            if picked.len() == n as usize {
+                break;
+            }
+            while *word != 0 && picked.len() < n as usize {
+                picked.push(NodeId(w * WORD_BITS + word.trailing_zeros()));
+                *word &= *word - 1;
+            }
+        }
+        self.len -= n;
+        picked
+    }
+}
 
 /// Tracks which nodes are free, busy or offline (failed/draining).
 #[derive(Debug, Clone)]
 pub struct NodeAllocator {
-    free: BTreeSet<NodeId>,
-    offline: BTreeSet<NodeId>,
+    free: NodeSet,
+    offline: NodeSet,
     total: u32,
 }
 
 impl NodeAllocator {
     /// All `total` nodes start free.
     pub fn new(total: u32) -> Self {
-        NodeAllocator {
-            free: (0..total).map(NodeId).collect(),
-            offline: BTreeSet::new(),
-            total,
-        }
+        NodeAllocator { free: NodeSet::full(total), offline: NodeSet::empty(total), total }
     }
 
     /// Total node count (free + busy + offline).
@@ -33,12 +119,12 @@ impl NodeAllocator {
 
     /// Currently free node count.
     pub fn free_count(&self) -> u32 {
-        self.free.len() as u32
+        self.free.len
     }
 
     /// Currently offline node count.
     pub fn offline_count(&self) -> u32 {
-        self.offline.len() as u32
+        self.offline.len
     }
 
     /// Currently busy node count.
@@ -50,7 +136,7 @@ impl NodeAllocator {
     /// the node was not free (busy or already offline) — the caller must
     /// first reclaim it from its job.
     pub fn take_offline(&mut self, id: NodeId) -> bool {
-        if self.free.remove(&id) {
+        if self.free.remove(id) {
             self.offline.insert(id);
             true
         } else {
@@ -63,7 +149,7 @@ impl NodeAllocator {
     /// # Panics
     /// Panics if the node was not offline.
     pub fn bring_online(&mut self, id: NodeId) {
-        assert!(self.offline.remove(&id), "{id} was not offline");
+        assert!(self.offline.remove(id), "{id} was not offline");
         self.free.insert(id);
     }
 
@@ -72,7 +158,7 @@ impl NodeAllocator {
     /// paths use, where overlapping fault domains can emit a repair for a
     /// node that was never taken down.
     pub fn try_bring_online(&mut self, id: NodeId) -> bool {
-        if self.offline.remove(&id) {
+        if self.offline.remove(id) {
             self.free.insert(id);
             true
         } else {
@@ -82,7 +168,7 @@ impl NodeAllocator {
 
     /// Is a specific node offline?
     pub fn is_offline(&self, id: NodeId) -> bool {
-        self.offline.contains(&id)
+        self.offline.contains(id)
     }
 
     /// Allocate `n` nodes (lowest ids first); `None` if not enough are free.
@@ -90,11 +176,7 @@ impl NodeAllocator {
         if n > self.free_count() {
             return None;
         }
-        let picked: Vec<NodeId> = self.free.iter().take(n as usize).copied().collect();
-        for id in &picked {
-            self.free.remove(id);
-        }
-        Some(picked)
+        Some(self.free.take_lowest(n))
     }
 
     /// Return nodes to the free pool.
@@ -110,7 +192,7 @@ impl NodeAllocator {
 
     /// Is a specific node free?
     pub fn is_free(&self, id: NodeId) -> bool {
-        self.free.contains(&id)
+        self.free.contains(id)
     }
 }
 

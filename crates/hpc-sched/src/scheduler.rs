@@ -17,7 +17,7 @@ use hpc_workload::{Job, JobId};
 use sim_core::time::SimTime;
 #[cfg(test)]
 use sim_core::time::SimDuration;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A job placed on nodes by the scheduler this round.
 #[derive(Debug, Clone)]
@@ -88,10 +88,12 @@ pub struct BatchScheduler {
     allocator: NodeAllocator,
     pending: VecDeque<Job>,
     running: HashMap<JobId, RunningJob>,
-    /// Running jobs ordered by expected end, for O(k) shadow computation.
-    ends: BTreeSet<(SimTime, JobId)>,
-    /// Which running job occupies each busy node.
-    node_job: HashMap<NodeId, JobId>,
+    /// Running jobs ordered by expected end, each with its node count, so
+    /// the shadow computation walks this index alone, O(k).
+    ends: BTreeMap<(SimTime, JobId), u32>,
+    /// The running job on each node, indexed by node id (`None` while the
+    /// node is free or offline).
+    node_job: Vec<Option<JobId>>,
     /// Fault requeues consumed per job (absent = never killed).
     requeues: HashMap<JobId, u32>,
     requeue_budget: u32,
@@ -107,8 +109,8 @@ impl BatchScheduler {
             allocator: NodeAllocator::new(total_nodes),
             pending: VecDeque::new(),
             running: HashMap::new(),
-            ends: BTreeSet::new(),
-            node_job: HashMap::new(),
+            ends: BTreeMap::new(),
+            node_job: vec![None; total_nodes as usize],
             requeues: HashMap::new(),
             requeue_budget: DEFAULT_REQUEUE_BUDGET,
             meter: UtilizationMeter::new(total_nodes),
@@ -215,9 +217,9 @@ impl BatchScheduler {
         let expected_end = now + job.requested_walltime;
         let id = job.id;
         for &n in &nodes {
-            self.node_job.insert(n, id);
+            self.node_job[n.index()] = Some(id);
         }
-        self.ends.insert((expected_end, id));
+        self.ends.insert((expected_end, id), job.nodes);
         self.running.insert(
             id,
             RunningJob {
@@ -241,8 +243,7 @@ impl BatchScheduler {
         if free >= needed {
             return (now, free - needed);
         }
-        for &(t, id) in &self.ends {
-            let nodes = self.running.get(&id).expect("ends index consistent").job.nodes;
+        for (&(t, _), &nodes) in &self.ends {
             free += nodes;
             if free >= needed {
                 return (t, free - needed);
@@ -261,7 +262,7 @@ impl BatchScheduler {
         let mut entry = self.running.remove(&id).unwrap_or_else(|| panic!("{id} is not running"));
         self.ends.remove(&(entry.expected_end, id));
         for n in &entry.nodes {
-            self.node_job.remove(n);
+            self.node_job[n.index()] = None;
         }
         self.allocator.release(&entry.nodes);
         entry.job.state = hpc_workload::JobState::Completed;
@@ -288,12 +289,12 @@ impl BatchScheduler {
         if self.allocator.is_offline(node) {
             return None;
         }
-        let victim = self.node_job.get(&node).copied();
+        let victim = self.job_on_node(node);
         if let Some(id) = victim {
             let mut entry = self.running.remove(&id).expect("node_job index consistent");
             self.ends.remove(&(entry.expected_end, id));
             for n in &entry.nodes {
-                self.node_job.remove(n);
+                self.node_job[n.index()] = None;
             }
             // Release the healthy nodes; the failed one goes offline.
             let healthy: Vec<NodeId> = entry.nodes.iter().copied().filter(|&n| n != node).collect();
@@ -338,7 +339,7 @@ impl BatchScheduler {
 
     /// The job currently occupying `node`, if any.
     pub fn job_on_node(&self, node: NodeId) -> Option<JobId> {
-        self.node_job.get(&node).copied()
+        self.node_job.get(node.index()).copied().flatten()
     }
 
     /// Advance the utilisation meter without a state change.

@@ -844,12 +844,11 @@ mod tests {
 
     /// Where the "facility" series of a `sample_store()` snapshot lies:
     /// its block, the end of the block's payload (where the CRC starts),
-    /// and its two sealed-chunk records, `first..second` and `second..end`.
+    /// the start of each sealed-chunk record, and the end of the last.
     struct FacilityLayout {
         block: usize,
         payload_end: usize,
-        first: usize,
-        second: usize,
+        chunks: Vec<usize>,
         end: usize,
     }
 
@@ -862,14 +861,25 @@ mod tests {
             at += 4 + u32_at(buf, at) as usize; // name
             at += 4 + u32_at(buf, at) as usize; // unit
             at += 8; // interval_hint
-            assert_eq!(u32_at(buf, at), 2, "facility holds two sealed chunks");
+            let n_chunks = u32_at(buf, at);
             // A chunk record: count, first_ts, last_ts, len_bits, data_len
-            // (32 bytes), the data, the chunk aggregate and a zero zone
-            // count.
-            let chunk_end = |at: usize| at + 32 + u32_at(buf, at + 28) as usize + 48 + 4;
-            let first = at + 4;
-            let second = chunk_end(first);
-            FacilityLayout { block, payload_end, first, second, end: chunk_end(second) }
+            // (32 bytes), the data, the chunk aggregate, a zone count and
+            // per zone its bounds (16 bytes) and aggregate.
+            let chunk_end = |at: usize| {
+                let zones = Self::aggregate(buf, at) + AGGREGATE_BYTES;
+                zones + 4 + u32_at(buf, zones) as usize * (16 + AGGREGATE_BYTES)
+            };
+            let mut chunks = vec![at + 4];
+            for _ in 1..n_chunks {
+                chunks.push(chunk_end(chunks[chunks.len() - 1]));
+            }
+            let end = chunk_end(chunks[chunks.len() - 1]);
+            FacilityLayout { block, payload_end, chunks, end }
+        }
+
+        /// Where the aggregate of the chunk record at `chunk` starts.
+        fn aggregate(buf: &[u8], chunk: usize) -> usize {
+            chunk + 32 + u32_at(buf, chunk + 28) as usize
         }
 
         /// Open `evil` with the facility block's CRC recomputed, so every
@@ -889,7 +899,8 @@ mod tests {
         let mut buf = Vec::new();
         store.snapshot_to(&mut buf).unwrap();
         let l = FacilityLayout::of(&buf);
-        let (first, second, end) = (l.first, l.second, l.end);
+        let &[first, second] = &l.chunks[..] else { panic!("facility holds two sealed chunks") };
+        let end = l.end;
         // The samples run backwards across the chunk boundary.
         let mut swapped = buf.clone();
         swapped[first..end].copy_from_slice(&[&buf[second..end], &buf[first..second]].concat());
@@ -915,17 +926,53 @@ mod tests {
             Some(PersistError::Malformed(msg)) => assert!(msg.contains("chunk data"), "{msg}"),
             other => panic!("expected a malformed chunk, got {other:?}"),
         };
+        let first = l.chunks[0];
         // The first chunk claims one sample more than its stream holds.
         let mut overcounted = buf.clone();
-        let count = u32_at(&buf, l.first);
-        overcounted[l.first..l.first + 4].copy_from_slice(&(count + 1).to_le_bytes());
+        let count = u32_at(&buf, first);
+        overcounted[first..first + 4].copy_from_slice(&(count + 1).to_le_bytes());
         malformed(l.open_resealed(overcounted));
         // The first chunk's data bytes are overwritten: all-ones bits read
         // as a 64-bit timestamp delta that overflows `i64`.
-        let data = l.first + 32..l.first + 32 + u32_at(&buf, l.first + 28) as usize;
+        let data = first + 32..FacilityLayout::aggregate(&buf, first);
         let mut garbage = buf.clone();
         garbage[data].fill(0xFF);
         malformed(l.open_resealed(garbage));
+    }
+
+    #[test]
+    fn stored_aggregates_that_disagree_with_their_samples_are_malformed() {
+        // Whole-chunk and zone-covered reads answer from stored aggregates
+        // without a decode, so recovery refuses a CRC-valid image whose
+        // stored aggregate is not the fold of the samples it covers.
+        let store = sample_store();
+        let malformed = |err: Option<PersistError>, what: &str| match err {
+            Some(PersistError::Malformed(msg)) => assert!(msg.starts_with(what), "{msg}"),
+            other => panic!("expected a malformed {what}, got {other:?}"),
+        };
+        let shifted = |buf: &[u8], at: usize, by: f64| {
+            let mut evil = buf.to_vec();
+            let v = f64::from_le_bytes(buf[at..at + 8].try_into().unwrap()) + by;
+            evil[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            evil
+        };
+        // The first facility chunk's stored sum (after the count), +1e6.
+        let mut buf = Vec::new();
+        store.snapshot_to(&mut buf).unwrap();
+        let l = FacilityLayout::of(&buf);
+        let sum = FacilityLayout::aggregate(&buf, l.chunks[0]) + 8;
+        malformed(l.open_resealed(shifted(&buf, sum, 1e6)), "chunk");
+        // After compaction the facility's chunk carries a zone map: the
+        // first zone's stored max (past the zone count, the zone bounds,
+        // and the count, sum and min of its aggregate), +1.
+        store.compact();
+        let mut buf = Vec::new();
+        store.snapshot_to(&mut buf).unwrap();
+        let l = FacilityLayout::of(&buf);
+        let zones = FacilityLayout::aggregate(&buf, l.chunks[0]) + AGGREGATE_BYTES;
+        assert!(u32_at(&buf, zones) > 0, "compaction left no zones");
+        let max = zones + 4 + 16 + 24;
+        malformed(l.open_resealed(shifted(&buf, max, 1.0)), "zone");
     }
 
     #[test]

@@ -129,12 +129,19 @@ impl Series {
     /// every sample is folded, in time order, through the same fold
     /// [`Self::append`] runs, so they equal the live series' bit for bit.
     ///
+    /// The stored aggregates of each sealed chunk and of each zone of its
+    /// zone map, which whole-chunk and zone-covered reads serve without a
+    /// decode, are checked against a fresh fold of the decoded samples
+    /// they cover (`first_ts..=last_ts` for a zone).
+    ///
     /// # Errors
     /// [`PersistError::Malformed`] if a sealed chunk's data does not decode
     /// (see [`crate::chunk::DecodeError`]) or the parts break what the fold
     /// assumes: a sealed chunk whose decoded first or last timestamp
-    /// disagrees with its header, or a sample not strictly after the one
-    /// before it, across chunks and into the tail.
+    /// disagrees with its header, a sample not strictly after the one
+    /// before it, across chunks and into the tail, or a stored chunk or
+    /// zone aggregate that differs in any field, bit for bit (NaN matching
+    /// NaN), from the fold of its samples.
     pub fn from_parts(
         meta: SeriesMeta,
         sealed: Vec<Chunk>,
@@ -159,9 +166,19 @@ impl Series {
                     "chunk header {header:?} disagrees with its data {ends:?}"
                 )));
             }
-            for (ts, v) in samples {
+            let mut agg = Aggregate::new();
+            for &(ts, v) in &samples {
                 check(ts)?;
                 series.fold(ts, v);
+                agg.push(v);
+            }
+            check_stored("chunk", header, chunk.aggregate(), &agg)?;
+            for z in chunk.zones().unwrap_or(&[]) {
+                let lo = samples.partition_point(|&(ts, _)| ts < z.first_ts);
+                let hi = samples.partition_point(|&(ts, _)| ts <= z.last_ts);
+                let mut agg = Aggregate::new();
+                samples[lo..hi].iter().for_each(|&(_, v)| agg.push(v));
+                check_stored("zone", (z.first_ts, z.last_ts), &z.agg, &agg)?;
             }
         }
         for &(ts, v) in active_tail {
@@ -347,6 +364,28 @@ impl Series {
         flush(&mut run, &mut out, &mut rewritten);
         self.sealed = out;
         rewritten
+    }
+}
+
+/// Refuse a stored aggregate that differs from `folded`, the fold of the
+/// samples it claims to summarise, in any field (bit for bit; two NaNs
+/// match).
+fn check_stored(
+    what: &str,
+    span: (i64, i64),
+    stored: &Aggregate,
+    folded: &Aggregate,
+) -> Result<(), PersistError> {
+    let fields = |a: &Aggregate| [a.sum, a.min, a.max, a.mean, a.m2];
+    let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    let agrees = stored.count == folded.count
+        && fields(stored).into_iter().zip(fields(folded)).all(|(x, y)| same(x, y));
+    if agrees {
+        Ok(())
+    } else {
+        Err(PersistError::Malformed(format!(
+            "{what} {span:?} stores {stored:?}, its samples fold to {folded:?}"
+        )))
     }
 }
 

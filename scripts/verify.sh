@@ -35,6 +35,11 @@ echo "== every table and figure (regenerate_experiments) =="
 # runs the hpc-tsdb direct ingest path.
 cargo run --release --offline --example regenerate_experiments >/dev/null
 
+echo "== paper checklist (verify_reproduction) =="
+# Every paper check at seed 2022, 1/10 scale (the settled means and the
+# savings of Figures 1-3); exits non-zero when one fails.
+cargo run --release --offline --example verify_reproduction
+
 echo "== benchmark package (examples/bench: unit tests + 1/40-scale smoke) =="
 # The package is outside the workspace, so no step above compiles it.
 # --locked fails on a stale examples/bench/Cargo.lock instead of rewriting it.

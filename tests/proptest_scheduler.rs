@@ -1,14 +1,19 @@
 //! Property tests on the batch scheduler: invariants that must survive
-//! arbitrary job streams, completion orders and failure injections.
+//! arbitrary job streams, completion orders and failure injections, and
+//! the bitset node allocator checked call for call against an ordered-set
+//! model of it.
 
-use archer2_repro::sched::BatchScheduler;
+use archer2_repro::sched::{BatchScheduler, NodeAllocator};
 use archer2_repro::sim::time::{SimDuration, SimTime};
 use archer2_repro::topo::NodeId;
 use archer2_repro::workload::{AppModel, Job, JobId, ResearchArea};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const MACHINE: u32 = 32;
+/// A machine whose last bitset word is partial (129 = 2 × 64 + 1).
+const RAGGED_MACHINE: u32 = 129;
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -20,14 +25,14 @@ enum Action {
     RepairAll,
 }
 
-fn arb_action() -> impl Strategy<Value = Action> {
+fn arb_action(machine: u32) -> impl Strategy<Value = Action> {
     prop_oneof![
-        4 => (1u32..=MACHINE, 1u64..=24).prop_map(|(nodes, walltime_h)| Action::Submit { nodes, walltime_h }),
+        4 => (1u32..=machine, 1u64..=24).prop_map(|(nodes, walltime_h)| Action::Submit { nodes, walltime_h }),
         3 => Just(Action::CompleteEarliest),
         // Deliberately overweight fail/repair and reuse a small node range
         // so double-fail and repair-of-healthy interleavings are common.
-        2 => (0u32..MACHINE).prop_map(Action::FailNode),
-        1 => (0u32..MACHINE).prop_map(Action::RepairNode),
+        2 => (0u32..machine).prop_map(Action::FailNode),
+        1 => (0u32..machine).prop_map(Action::RepairNode),
         1 => Just(Action::RepairAll),
     ]
 }
@@ -43,98 +48,297 @@ fn mk_job(id: u64, nodes: u32, walltime_h: u64, now: SimTime) -> Job {
     )
 }
 
+/// Drive a `machine`-node scheduler through `actions`, checking its
+/// invariants after every scheduling pass.
+fn check_invariants(machine: u32, actions: Vec<Action>) -> Result<(), TestCaseError> {
+    let mut sched = BatchScheduler::new(machine);
+    let mut now = SimTime::EPOCH;
+    let mut next_id = 0u64;
+    let mut offline: HashSet<NodeId> = HashSet::new();
+
+    for action in actions {
+        now += SimDuration::from_mins(7);
+        match action {
+            Action::Submit { nodes, walltime_h } => {
+                next_id += 1;
+                sched.submit(mk_job(next_id, nodes, walltime_h, now));
+            }
+            Action::CompleteEarliest => {
+                if let Some(id) = sched.running_jobs().min_by_key(|r| r.expected_end).map(|r| r.job.id) {
+                    sched.complete(id, now);
+                }
+            }
+            Action::FailNode(n) => {
+                let node = NodeId(n);
+                let was_offline = sched.is_node_offline(node);
+                let killed = sched.fail_node(node, now);
+                if was_offline {
+                    // Double-fail must be a pure no-op.
+                    prop_assert_eq!(killed, None, "double fail killed a job");
+                }
+                offline.insert(node);
+            }
+            Action::RepairNode(n) => {
+                let node = NodeId(n);
+                let repaired = sched.repair_node(node, now);
+                // Repairing a healthy node must no-op; repairing an
+                // offline one must succeed exactly once.
+                prop_assert_eq!(repaired, offline.remove(&node), "repair/no-op mismatch");
+            }
+            Action::RepairAll => {
+                for node in offline.drain() {
+                    prop_assert!(sched.repair_node(node, now));
+                }
+            }
+        }
+        sched.schedule(now);
+
+        // Invariant 1: conservation of nodes.
+        let busy = sched.busy_nodes();
+        let free = sched.free_nodes();
+        let off = sched.offline_nodes();
+        prop_assert_eq!(busy + free + off, machine, "node conservation");
+
+        // Invariant 2: running jobs' node sets are disjoint and consistent.
+        let mut seen: HashSet<NodeId> = HashSet::new();
+        let mut running_nodes = 0u32;
+        for r in sched.running_jobs() {
+            prop_assert_eq!(r.nodes.len() as u32, r.job.nodes);
+            for &n in &r.nodes {
+                prop_assert!(seen.insert(n), "node double-allocated");
+                prop_assert_eq!(sched.job_on_node(n), Some(r.job.id));
+            }
+            running_nodes += r.job.nodes;
+        }
+        prop_assert_eq!(running_nodes, busy, "busy count matches running jobs");
+        for n in (0..machine).map(NodeId).filter(|n| !seen.contains(n)) {
+            prop_assert_eq!(sched.job_on_node(n), None, "idle {} claims a job", n);
+        }
+
+        // Invariant 3: offline bookkeeping matches.
+        prop_assert_eq!(off as usize, offline.len());
+
+        // Invariant 4: stats are internally consistent.
+        let stats = sched.stats();
+        prop_assert!(stats.completed <= stats.started);
+        prop_assert!(stats.backfilled <= stats.started);
+        prop_assert!(stats.abandoned <= stats.killed, "abandon implies a kill");
+        prop_assert_eq!(stats.failed(), stats.killed + stats.abandoned);
+
+        // Invariant 5: no lost jobs. Every submission is accounted for
+        // as completed, abandoned, running, or still pending.
+        prop_assert_eq!(
+            stats.submitted,
+            stats.completed
+                + stats.abandoned
+                + sched.running_count() as u64
+                + sched.pending_count() as u64,
+            "job conservation broken"
+        );
+
+        // Invariant 6: allocatable capacity reflects offline nodes.
+        prop_assert_eq!(busy + free, machine - off, "offline capacity");
+    }
+    Ok(())
+}
+
+/// The node allocator as it stood with two `BTreeSet`s for its free and
+/// offline sets: the reference the bitset allocator must match call for
+/// call, panics included.
+struct ModelAllocator {
+    free: BTreeSet<NodeId>,
+    offline: BTreeSet<NodeId>,
+    total: u32,
+}
+
+impl ModelAllocator {
+    fn new(total: u32) -> Self {
+        ModelAllocator { free: (0..total).map(NodeId).collect(), offline: BTreeSet::new(), total }
+    }
+
+    fn counts(&self) -> (u32, u32, u32) {
+        let (free, offline) = (self.free.len() as u32, self.offline.len() as u32);
+        (free, offline, self.total - free - offline)
+    }
+
+    fn take_offline(&mut self, id: NodeId) -> bool {
+        if self.free.remove(&id) {
+            self.offline.insert(id);
+            true
+        } else {
+            false
+        }
+    }
+
+    fn try_bring_online(&mut self, id: NodeId) -> bool {
+        if self.offline.remove(&id) {
+            self.free.insert(id);
+            true
+        } else {
+            false
+        }
+    }
+
+    fn allocate(&mut self, n: u32) -> Option<Vec<NodeId>> {
+        if n > self.free.len() as u32 {
+            return None;
+        }
+        let picked: Vec<NodeId> = self.free.iter().take(n as usize).copied().collect();
+        for id in &picked {
+            self.free.remove(id);
+        }
+        Some(picked)
+    }
+
+    fn release(&mut self, nodes: &[NodeId]) {
+        for &id in nodes {
+            assert!(id.0 < self.total, "node {id} out of range");
+            assert!(self.free.insert(id), "double release of {id}");
+        }
+    }
+}
+
+/// Machine sizes for the allocator model: one node, one word short of
+/// full, exactly full, one bit into a second word, a partial third word,
+/// and the paper's facility.
+const ALLOCATOR_TOTALS: [u32; 6] = [1, 63, 64, 65, 129, 5_860];
+
+/// One allocator call. Raw draws are reduced against the machine size when
+/// the op runs, so one sequence drives every size in [`ALLOCATOR_TOTALS`].
+#[derive(Debug, Clone)]
+enum AllocOp {
+    /// Ask for `raw % (total + 2)` nodes, so some asks exceed what is free.
+    Allocate(u32),
+    /// Release the held allocation at `raw % held`.
+    ReleaseHeld(usize),
+    /// Release a node that is free already: a double release.
+    ReleaseFree(usize),
+    /// Release node `total + raw`.
+    ReleaseOutOfRange(u32),
+    /// Take node `raw % (total + 2)` offline; some ids lie past the machine.
+    TakeOffline(u32),
+    /// Bring an offline node back (even `raw`, when one is offline) or
+    /// node `raw % (total + 2)`, which is mostly not offline.
+    TryBringOnline(u32),
+}
+
+fn arb_alloc_op() -> impl Strategy<Value = AllocOp> {
+    prop_oneof![
+        4 => (0u32..=70).prop_map(AllocOp::Allocate),
+        1 => (0u32..=6_000).prop_map(AllocOp::Allocate),
+        4 => (0usize..64).prop_map(AllocOp::ReleaseHeld),
+        1 => (0usize..10_000).prop_map(AllocOp::ReleaseFree),
+        1 => (0u32..100).prop_map(AllocOp::ReleaseOutOfRange),
+        2 => (0u32..6_000).prop_map(AllocOp::TakeOffline),
+        2 => (0u32..6_000).prop_map(AllocOp::TryBringOnline),
+    ]
+}
+
+/// The message of a caught panic.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// Release `nodes` from both allocators; `Some(message)` if the release
+/// panicked, after checking that both panicked alike.
+fn release_both(
+    real: &mut NodeAllocator,
+    model: &mut ModelAllocator,
+    nodes: &[NodeId],
+) -> Result<Option<String>, TestCaseError> {
+    let got = catch_unwind(AssertUnwindSafe(|| real.release(nodes))).map_err(panic_message);
+    let want = catch_unwind(AssertUnwindSafe(|| model.release(nodes))).map_err(panic_message);
+    prop_assert_eq!(&got, &want, "release of {:?}", nodes);
+    Ok(got.err())
+}
+
+/// Drive a `total`-node allocator and its model through `ops`, comparing
+/// every answer, the three counts and the membership of the nodes each op
+/// touched, and every node's membership at the end. A release that panics
+/// on its one node leaves both sides as they were, so the sequence goes on.
+fn check_allocator(total: u32, ops: &[AllocOp]) -> Result<(), TestCaseError> {
+    let mut real = NodeAllocator::new(total);
+    let mut model = ModelAllocator::new(total);
+    let mut held: Vec<Vec<NodeId>> = Vec::new();
+    let within = |raw: u32| NodeId(raw % (total + 2));
+    let same_membership = |real: &NodeAllocator, model: &ModelAllocator, id: NodeId| {
+        (real.is_free(id), real.is_offline(id))
+            == (model.free.contains(&id), model.offline.contains(&id))
+    };
+    for op in ops {
+        let mut touched: Vec<NodeId> = Vec::new();
+        match *op {
+            AllocOp::Allocate(raw) => {
+                let n = raw % (total + 2);
+                let got = real.allocate(n);
+                prop_assert_eq!(&got, &model.allocate(n), "allocate({}) on {} nodes", n, total);
+                if let Some(nodes) = got.filter(|nodes| !nodes.is_empty()) {
+                    touched.extend(&nodes);
+                    held.push(nodes);
+                }
+            }
+            AllocOp::ReleaseHeld(raw) if !held.is_empty() => {
+                let nodes = held.swap_remove(raw % held.len());
+                prop_assert_eq!(release_both(&mut real, &mut model, &nodes)?, None);
+                touched = nodes;
+            }
+            AllocOp::ReleaseHeld(_) => {}
+            AllocOp::ReleaseFree(raw) => {
+                if let Some(&id) = model.free.iter().nth(raw % model.free.len().max(1)) {
+                    let msg = release_both(&mut real, &mut model, &[id])?;
+                    prop_assert_eq!(msg, Some(format!("double release of {id}")));
+                    touched.push(id);
+                }
+            }
+            AllocOp::ReleaseOutOfRange(raw) => {
+                let id = NodeId(total + raw);
+                let msg = release_both(&mut real, &mut model, &[id])?;
+                prop_assert_eq!(msg, Some(format!("node {id} out of range")));
+                touched.push(id);
+            }
+            AllocOp::TakeOffline(raw) => {
+                let id = within(raw);
+                prop_assert_eq!(real.take_offline(id), model.take_offline(id), "take_offline({})", id);
+                touched.push(id);
+            }
+            AllocOp::TryBringOnline(raw) => {
+                let offline = model.offline.len();
+                let id = if raw % 2 == 0 && offline > 0 {
+                    *model.offline.iter().nth((raw / 2) as usize % offline).expect("in range")
+                } else {
+                    within(raw)
+                };
+                prop_assert_eq!(real.try_bring_online(id), model.try_bring_online(id), "try_bring_online({})", id);
+                touched.push(id);
+            }
+        }
+        let counts = (real.free_count(), real.offline_count(), real.busy_count());
+        prop_assert_eq!(counts, model.counts(), "counts after {:?} on {} nodes", op, total);
+        let edges = [0, 63, 64, 65, total - 1, total, total + 1].map(NodeId);
+        for id in touched.into_iter().chain(edges) {
+            prop_assert!(same_membership(&real, &model, id), "{} after {:?} on {} nodes", id, op, total);
+        }
+    }
+    for id in (0..total + 64).map(NodeId) {
+        prop_assert!(same_membership(&real, &model, id), "{} at the end on {} nodes", id, total);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn scheduler_invariants_hold_under_any_action_sequence(
-        actions in proptest::collection::vec(arb_action(), 1..120)
+        actions in proptest::collection::vec(arb_action(MACHINE), 1..120),
+        ragged in proptest::collection::vec(arb_action(RAGGED_MACHINE), 1..120),
     ) {
-        let mut sched = BatchScheduler::new(MACHINE);
-        let mut now = SimTime::EPOCH;
-        let mut next_id = 0u64;
-        let mut offline: HashSet<NodeId> = HashSet::new();
-
-        for action in actions {
-            now += SimDuration::from_mins(7);
-            match action {
-                Action::Submit { nodes, walltime_h } => {
-                    next_id += 1;
-                    sched.submit(mk_job(next_id, nodes, walltime_h, now));
-                }
-                Action::CompleteEarliest => {
-                    if let Some(id) = sched.running_jobs().min_by_key(|r| r.expected_end).map(|r| r.job.id) {
-                        sched.complete(id, now);
-                    }
-                }
-                Action::FailNode(n) => {
-                    let node = NodeId(n);
-                    let was_offline = sched.is_node_offline(node);
-                    let killed = sched.fail_node(node, now);
-                    if was_offline {
-                        // Double-fail must be a pure no-op.
-                        prop_assert_eq!(killed, None, "double fail killed a job");
-                    }
-                    offline.insert(node);
-                }
-                Action::RepairNode(n) => {
-                    let node = NodeId(n);
-                    let repaired = sched.repair_node(node, now);
-                    // Repairing a healthy node must no-op; repairing an
-                    // offline one must succeed exactly once.
-                    prop_assert_eq!(repaired, offline.remove(&node), "repair/no-op mismatch");
-                }
-                Action::RepairAll => {
-                    for node in offline.drain() {
-                        prop_assert!(sched.repair_node(node, now));
-                    }
-                }
-            }
-            sched.schedule(now);
-
-            // Invariant 1: conservation of nodes.
-            let busy = sched.busy_nodes();
-            let free = sched.free_nodes();
-            let off = sched.offline_nodes();
-            prop_assert_eq!(busy + free + off, MACHINE, "node conservation");
-
-            // Invariant 2: running jobs' node sets are disjoint and consistent.
-            let mut seen: HashSet<NodeId> = HashSet::new();
-            let mut running_nodes = 0u32;
-            for r in sched.running_jobs() {
-                prop_assert_eq!(r.nodes.len() as u32, r.job.nodes);
-                for &n in &r.nodes {
-                    prop_assert!(seen.insert(n), "node double-allocated");
-                    prop_assert_eq!(sched.job_on_node(n), Some(r.job.id));
-                }
-                running_nodes += r.job.nodes;
-            }
-            prop_assert_eq!(running_nodes, busy, "busy count matches running jobs");
-
-            // Invariant 3: offline bookkeeping matches.
-            prop_assert_eq!(off as usize, offline.len());
-
-            // Invariant 4: stats are internally consistent.
-            let stats = sched.stats();
-            prop_assert!(stats.completed <= stats.started);
-            prop_assert!(stats.backfilled <= stats.started);
-            prop_assert!(stats.abandoned <= stats.killed, "abandon implies a kill");
-            prop_assert_eq!(stats.failed(), stats.killed + stats.abandoned);
-
-            // Invariant 5: no lost jobs. Every submission is accounted for
-            // as completed, abandoned, running, or still pending.
-            prop_assert_eq!(
-                stats.submitted,
-                stats.completed
-                    + stats.abandoned
-                    + sched.running_count() as u64
-                    + sched.pending_count() as u64,
-                "job conservation broken"
-            );
-
-            // Invariant 6: allocatable capacity reflects offline nodes.
-            prop_assert_eq!(busy + free, MACHINE - off, "offline capacity");
-        }
+        check_invariants(MACHINE, actions)?;
+        check_invariants(RAGGED_MACHINE, ragged)?;
     }
 
     #[test]
@@ -163,6 +367,19 @@ proptest! {
                 sched.free_nodes(),
                 sched.pending_count()
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn bitset_allocator_matches_the_ordered_set_model(
+        ops in proptest::collection::vec(arb_alloc_op(), 1..80)
+    ) {
+        for total in ALLOCATOR_TOTALS {
+            check_allocator(total, &ops)?;
         }
     }
 }
