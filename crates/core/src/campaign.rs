@@ -1516,10 +1516,10 @@ impl Campaign {
         )
     }
 
-    /// Fan-out readback over every cabinet series in `[from, to)`: the
-    /// cabinets are aggregated concurrently and reduced to a
-    /// [`hpc_tsdb::GroupValue`] whose `sum_of_means` is the facility draw
-    /// attributable to compute cabinets. Empty unless
+    /// Group readback over every cabinet series in `[from, to)`: the
+    /// cabinets are aggregated one after another on the calling thread and
+    /// reduced to a [`hpc_tsdb::GroupValue`] whose `sum_of_means` is the
+    /// facility draw attributable to compute cabinets. Empty unless
     /// `per_cabinet_telemetry` was set.
     pub fn cabinets_window_kw(&self, from: SimTime, to: SimTime) -> hpc_tsdb::GroupValue {
         let w = self.sim.world();
@@ -2094,6 +2094,7 @@ mod fault_campaign_tests {
 mod telemetry_tests {
     use super::*;
     use crate::experiment::scaled_facility;
+    use hpc_tsdb::{AggOp, Aggregate};
 
     fn instrumented_config() -> CampaignConfig {
         CampaignConfig {
@@ -2130,30 +2131,37 @@ mod telemetry_tests {
         let mut c = Campaign::new(f, instrumented_config(), start, OperatingPoint::AFTER_BIOS);
         c.run_until(start + SimDuration::from_days(2));
 
-        // The fan-out readback answers exactly what a sequential pass over
-        // the store gives, and its cabinet sum reconciles with the facility
-        // window mean within the telemetry noise (sample by sample the
-        // reconciliation is `tests/tsdb_reconciliation.rs`).
+        // The group readback is, bit for bit, the input-order fold of the
+        // per-cabinet reads (their means summed; their count, sum, min and
+        // max merged as `Aggregate::merge` merges them), and its cabinet
+        // sum reconciles with the facility window mean within the
+        // telemetry noise (sample by sample the reconciliation is
+        // `tests/tsdb_reconciliation.rs`).
         let total = c.power_series();
         let (from, to) = (total.start(), total.end());
         let group = c.cabinets_window_kw(from, to);
-        assert_eq!(group.series, cabinets);
-        assert_eq!(group.missing, 0);
+        assert_eq!((group.series, group.missing), (cabinets, 0));
         let store = c.telemetry_store();
-        let mut sequential = 0.0;
+        let read = |sid, op| {
+            hpc_tsdb::store_aggregate(store, sid, from.as_unix() as i64, to.as_unix() as i64, op)
+                .unwrap()
+                .0
+        };
+        let mut sum_of_means = 0.0;
+        let mut merged = Aggregate::new();
         for &sid in c.cabinet_series_ids() {
-            sequential += hpc_tsdb::store_aggregate(
-                store,
-                sid,
-                from.as_unix() as i64,
-                to.as_unix() as i64,
-                hpc_tsdb::AggOp::Mean,
-            )
-            .unwrap()
-            .0;
+            sum_of_means += read(sid, AggOp::Mean);
+            merged.merge(&Aggregate {
+                count: read(sid, AggOp::Count) as u64,
+                sum: read(sid, AggOp::Sum),
+                min: read(sid, AggOp::Min),
+                max: read(sid, AggOp::Max),
+                ..Aggregate::new()
+            });
         }
-        let rel = (group.sum_of_means - sequential).abs() / sequential.abs().max(1.0);
-        assert!(rel <= 1e-9, "fan-out {} vs sequential {sequential}", group.sum_of_means);
+        assert_eq!(group.sum_of_means.to_bits(), sum_of_means.to_bits());
+        let bits = |a: &Aggregate| (a.count, a.sum.to_bits(), a.min.to_bits(), a.max.to_bits());
+        assert_eq!(bits(&group.total), bits(&merged));
         let (facility_mean, _) = c.facility_window_kw(from, to).unwrap();
         assert!((group.sum_of_means - facility_mean).abs() / facility_mean < 0.05);
         // The readbacks above went through the instrumented engine.

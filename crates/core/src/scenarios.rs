@@ -5,9 +5,9 @@
 //! Every scenario is fully isolated — its own facility (silicon lottery and
 //! all), its own scheduler, its own embedded telemetry store — so scenarios
 //! never contend on shared state and a sweep of N scenarios is
-//! embarrassingly parallel. The runner uses the same block-chunked
-//! `rayon::scope` fan-out as the tsdb query engine: with `W` workers each
-//! thread runs a contiguous block of scenarios to completion.
+//! embarrassingly parallel. The runner fans the scenarios out in
+//! contiguous blocks over `rayon::scope`: with `W` workers each thread
+//! runs a contiguous block of scenarios to completion.
 //!
 //! Determinism: parallelism only changes *which thread* runs a scenario,
 //! never the scenario's own event order. Results come back in input order,

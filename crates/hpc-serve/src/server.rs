@@ -717,7 +717,7 @@ fn estimate_request(store: &TsdbStore, query: &Request, ids: &[SeriesId]) -> u64
             estimate_scan(store, ids[0], *from, *to, hpc_tsdb::AggOp::Mean, false)
         }
         Request::Windows { from, to, step, op, .. } => {
-            let windows = ((to - from) as u64).div_ceil(*step as u64);
+            let windows = to.abs_diff(*from).div_ceil(*step as u64);
             estimate_scan(store, ids[0], *from, *to, (*op).into(), true).saturating_add(windows)
         }
         Request::Group { from, to, .. } => ids.iter().fold(0u64, |acc, &id| {

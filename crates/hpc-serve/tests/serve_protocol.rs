@@ -208,6 +208,42 @@ fn bad_query_shapes_are_rejected_and_session_survives() {
 }
 
 #[test]
+fn windows_and_gaps_at_the_ends_of_the_i64_range_answer_on_one_session() {
+    // Regression: the server admits these requests, and a window end or a
+    // range width computed from them overflowed. The panic ended the
+    // session thread, so the tenant's slots were never returned.
+    let (server, addr) = server();
+    let mut client = Client::connect(addr, "edges").unwrap();
+    let windows = |from, to, step| Request::Windows {
+        series: "facility".into(),
+        from,
+        to,
+        step,
+        op: hpc_serve::WireOp::Count,
+    };
+    let counts = |reply| match reply {
+        Response::Windows { windows } => windows.iter().map(|w| (w.start, w.count)).collect(),
+        other => panic!("expected Windows, got {other:?}"),
+    };
+    let near_max: Vec<(i64, u64)> =
+        counts(client.request(&windows(i64::MAX - 10, i64::MAX, 100)).unwrap());
+    assert_eq!(near_max, [(i64::MAX - 10, 0)]);
+    let full: Vec<(i64, u64)> =
+        counts(client.request(&windows(i64::MIN, i64::MAX, i64::MAX)).unwrap());
+    assert_eq!(full, [(i64::MIN, 0), (-1, 300), (i64::MAX - 1, 0)]);
+    let gap = Request::Gap { series: "facility".into(), from: i64::MIN, to: i64::MAX };
+    match client.request(&gap) {
+        Ok(Response::Gap(g)) => assert_eq!((g.count, g.expected), (300, u64::MAX.div_ceil(60))),
+        other => panic!("expected Gap, got {other:?}"),
+    }
+    match client.request(&Request::Ping).unwrap() {
+        Response::Pong => {}
+        other => panic!("expected Pong, got {other:?}"),
+    }
+    drop(server);
+}
+
+#[test]
 fn served_gap_shows_its_store_work_in_introspect() {
     // Regression: Gap queries bypassed the counted store read path, so
     // Introspect attributed zero store work to every served Gap.

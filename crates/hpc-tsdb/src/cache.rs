@@ -13,9 +13,10 @@
 //! timestamp and value vectors that aggregation kernels scan as tight
 //! loops with binary-searched bounds.
 //!
-//! The cache is sharded: keys hash across independent mutexes so parallel
-//! fan-out workers rarely contend, and decode itself always happens
-//! *outside* the lock. Two workers may race to decode the same chunk; the
+//! The cache is sharded: keys hash across independent mutexes so readers
+//! on different threads (one per `hpc-serve` session; every query runs on
+//! its caller's thread) rarely contend, and decode itself always happens
+//! *outside* the lock. Two readers may race to decode the same chunk; the
 //! loser's insert keeps the winner's block but still refreshes its LRU
 //! stamp — a racing duplicate insert is proof the entry is hot, and an
 //! unrefreshed stamp would let the hot chunk be evicted as "oldest".

@@ -25,12 +25,12 @@
 //!   immutable and replacement chunks get fresh uids, so entries never
 //!   need invalidation);
 //! - [`query`] — the store-level read path ([`store_aggregate`],
-//!   [`store_windows`], the parallel fan-out [`fanout_aggregate`] /
-//!   [`fanout_group`]): rollup-aware planning and a snapshot under the
-//!   published view or a short shard read lock, then zone-map-pruned
-//!   decode outside any lock through the chunk cache, with every call
-//!   counted in per-store [`QueryStats`]; plus scan-cost estimation
-//!   ([`estimate_scan`]);
+//!   [`store_windows`], and [`fanout_group`], which folds many series in
+//!   input order on the calling thread): rollup-aware planning and a
+//!   snapshot under the published view or a short shard read lock, then
+//!   zone-map-pruned decode outside any lock through the chunk cache, with
+//!   every call counted in per-store [`QueryStats`]; plus scan-cost
+//!   estimation ([`estimate_scan`]);
 //! - [`persist`] — the versioned, checksummed snapshot format
 //!   ([`TsdbStore::snapshot_to`] / [`TsdbStore::open_snapshot`]): series
 //!   metadata, sealed chunks verbatim and active tails — each sample once,
@@ -97,8 +97,8 @@ pub use quality::{
     SanitizeConfig, SanitizeStats, Sanitizer,
 };
 pub use query::{
-    estimate_scan, fanout_aggregate, fanout_group, fanout_workers, store_aggregate,
-    store_windows, AggOp, GroupValue, Plan, QueryStats, WindowValue,
+    estimate_scan, fanout_group, store_aggregate, store_windows, AggOp, GroupValue, Plan,
+    QueryStats, WindowValue,
 };
 pub use rollup::Aggregate;
 pub use series::{Series, SeriesMeta};

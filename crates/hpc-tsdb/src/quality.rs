@@ -235,7 +235,7 @@ fn expected_samples(interval_hint: i64, from: i64, to: i64) -> Option<u64> {
     if interval_hint <= 0 || to <= from {
         return None;
     }
-    Some(((to - from) as u64).div_ceil(interval_hint as u64))
+    Some(to.abs_diff(from).div_ceil(interval_hint as u64))
 }
 
 /// Gap-aware aggregate of one series over `[from, to)`: moments over the

@@ -1,6 +1,6 @@
 //! Query engine: aggregations over a time range or aligned windows and
-//! multi-series fan-out, with rollup-aware planning, a decoded-chunk cache
-//! and per-store instrumentation.
+//! the multi-series group reduction, with rollup-aware planning, a
+//! decoded-chunk cache and per-store instrumentation.
 //!
 //! Planning rule: an aggregation whose window is aligned to a rollup
 //! level's grid is served from that level's buckets — coarsest level
@@ -11,7 +11,7 @@
 //! ## Locking discipline (store-level queries)
 //!
 //! Every store-level entry point ([`store_aggregate`], [`store_windows`],
-//! [`fanout_aggregate`], [`fanout_group`] and the gap-aware
+//! [`fanout_group`] and the gap-aware
 //! [`store_gap_aggregate`](crate::quality::store_gap_aggregate)) evaluates
 //! in the same two phases and counts its work in [`QueryStats`]. The
 //! planning/snapshot phase reads the series through
@@ -27,6 +27,10 @@
 //! a shard lock across a decode; against a fresh view it never takes one,
 //! and against a stale view concurrent writers are stalled only for the
 //! snapshot instant.
+//!
+//! Every read runs on the calling thread: [`fanout_group`] folds its
+//! series one after another, in input order. Concurrency comes from the
+//! callers, such as one thread per `hpc-serve` session.
 
 use crate::chunk::Chunk;
 use crate::rollup::Aggregate;
@@ -156,7 +160,7 @@ fn percentile(mut values: Vec<f64>, p: f64) -> f64 {
 /// field names and their order are part of that wire format.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueryStats {
-    /// Store-level query evaluations (one per series per call; a fan-out
+    /// Store-level query evaluations (one per series per call; a group
     /// over N series counts N).
     pub queries: u64,
     /// Windows answered from 1-hour rollup buckets.
@@ -179,7 +183,7 @@ pub struct QueryStats {
     /// Source chunks rewritten by compaction passes ([`TsdbStore::compact`]).
     pub chunks_compacted: u64,
     /// Wall-clock time spent inside store-level query entry points, in
-    /// nanoseconds (fan-out counts once per call, not per worker).
+    /// nanoseconds (a group counts once per call, not per series).
     pub wall_nanos: u64,
 }
 
@@ -479,7 +483,7 @@ fn windows_inner(
         let mut need_raw = false;
         let mut start = from;
         while start < to {
-            let end = (start + step).min(to);
+            let end = start.saturating_add(step).min(to);
             let rollup = match plan_aggregate(s, start, end, op) {
                 Plan::RawScan => {
                     need_raw = true;
@@ -587,74 +591,8 @@ pub(crate) fn store_raw_aggregate(
 }
 
 // ---------------------------------------------------------------------------
-// Multi-series fan-out
+// Multi-series group reduction
 // ---------------------------------------------------------------------------
-
-/// Number of worker threads the fan-out entry points will actually use
-/// for a fan-out over `n` series: the rayon pool size clamped to the
-/// fan-out width. Benchmarks comparing sequential vs fan-out should
-/// record *this*, not the raw pool size — a 4-series fan-out on a
-/// 64-thread pool runs 4 workers, and any fan-out on a single-core host
-/// runs 1 (sequentially), which makes a speedup comparison meaningless.
-pub fn fanout_workers(n: usize) -> usize {
-    if n == 0 {
-        0
-    } else {
-        rayon::current_num_threads().clamp(1, n)
-    }
-}
-
-/// Evaluate `f` for every id, in parallel across rayon worker threads, and
-/// return results in input order. Ids are distributed in contiguous blocks
-/// so adjacent series (which usually live on the same store shard and share
-/// cache locality) stay on one worker.
-fn fanout_map<R, F>(ids: &[SeriesId], f: F) -> Vec<Option<R>>
-where
-    R: Send,
-    F: Fn(SeriesId) -> Option<R> + Sync,
-{
-    let n = ids.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = fanout_workers(n);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    if workers == 1 {
-        for (slot, &id) in out.iter_mut().zip(ids) {
-            *slot = f(id);
-        }
-        return out;
-    }
-    let block = n.div_ceil(workers);
-    let f = &f;
-    rayon::scope(|s| {
-        for (id_block, out_block) in ids.chunks(block).zip(out.chunks_mut(block)) {
-            s.spawn(move |_| {
-                for (slot, &id) in out_block.iter_mut().zip(id_block) {
-                    *slot = f(id);
-                }
-            });
-        }
-    });
-    out
-}
-
-/// Aggregate many series over the same `[from, to)` window concurrently.
-/// Results are in input order; `None` marks an unknown id. Numerically
-/// identical to calling [`store_aggregate`] per id in a loop.
-pub fn fanout_aggregate(
-    store: &TsdbStore,
-    ids: &[SeriesId],
-    from: i64,
-    to: i64,
-    op: AggOp,
-) -> Vec<Option<(f64, Plan)>> {
-    let t = Instant::now();
-    let out = fanout_map(ids, |id| aggregate_inner(store, id, from, to, op));
-    store.query_counters().add_wall(t);
-    out
-}
 
 /// Group aggregate across many series over one window — the "all cabinets
 /// → facility" reduction.
@@ -683,16 +621,16 @@ impl GroupValue {
     }
 }
 
-/// Reduce many series over one `[from, to)` window into a [`GroupValue`]:
-/// per-series aggregation runs concurrently, the reduction is sequential
-/// and deterministic (input order), so repeated calls are bit-identical.
+/// Reduce many series over one `[from, to)` window into a [`GroupValue`],
+/// folding the series one after another in input order on the calling
+/// thread, so repeated calls are bit-identical. Each series is read as
+/// [`store_aggregate`] reads it.
 pub fn fanout_group(store: &TsdbStore, ids: &[SeriesId], from: i64, to: i64) -> GroupValue {
     let t = Instant::now();
-    let per_series = fanout_map(ids, |id| full_aggregate_inner(store, id, from, to));
     let mut group =
         GroupValue { series: 0, missing: 0, sum_of_means: 0.0, total: Aggregate::new() };
-    for entry in per_series {
-        match entry {
+    for &id in ids {
+        match full_aggregate_inner(store, id, from, to) {
             None => group.missing += 1,
             Some((agg, _)) => {
                 group.series += 1;
@@ -889,44 +827,81 @@ mod tests {
         (store, ids)
     }
 
-    #[test]
-    fn fanout_matches_sequential_bit_for_bit() {
-        let (store, ids) = populated_store(9, CHUNK_TEST_LEN);
-        let from = 30; // deliberately unaligned → raw plans
-        let to = i64::from(CHUNK_TEST_LEN) * 60 - 30;
-        for op in [AggOp::Mean, AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::Count, AggOp::P95] {
-            let seq: Vec<_> =
-                ids.iter().map(|&id| store_aggregate(&store, id, from, to, op)).collect();
-            let fan = fanout_aggregate(&store, &ids, from, to, op);
-            assert_eq!(seq.len(), fan.len());
-            for (s, f) in seq.iter().zip(&fan) {
-                let (sv, sp) = s.unwrap();
-                let (fv, fp) = f.unwrap();
-                assert_eq!(sp, fp);
-                assert!(
-                    sv == fv || (sv.is_nan() && fv.is_nan()),
-                    "fan-out {fv} != sequential {sv} for {op:?}"
-                );
-            }
-        }
-    }
-
     const CHUNK_TEST_LEN: u32 = crate::series::CHUNK_SAMPLES * 2 + 176;
 
-    #[test]
-    fn fanout_group_sums_cabinet_means() {
-        let (store, mut ids) = populated_store(6, 600);
-        ids.push(SeriesId(4242)); // unknown id is reported, not fatal
-        let group = fanout_group(&store, &ids, 0, 600 * 60);
-        assert_eq!(group.series, 6);
-        assert_eq!(group.missing, 1);
-        let mut expect = 0.0;
-        for &id in &ids[..6] {
-            expect += store_aggregate(&store, id, 0, 600 * 60, AggOp::Mean).unwrap().0;
+    /// `(series, missing)`, the bits of `sum_of_means`, and the count and
+    /// the sum, min and max bits of `total`.
+    type GroupBits = ((usize, usize), u64, (u64, u64, u64, u64));
+
+    fn group_bits(g: &GroupValue) -> GroupBits {
+        let t = &g.total;
+        (
+            (g.series, g.missing),
+            g.sum_of_means.to_bits(),
+            (t.count, t.sum.to_bits(), t.min.to_bits(), t.max.to_bits()),
+        )
+    }
+
+    /// What [`fanout_group`] must answer, folded in input order from the
+    /// per-series [`store_aggregate`] reads: the non-empty series' `Mean`
+    /// answers summed, and their `Count`, `Sum`, `Min` and `Max` answers
+    /// folded as [`Aggregate::merge`] folds them.
+    fn per_series_group(store: &TsdbStore, ids: &[SeriesId], from: i64, to: i64) -> GroupBits {
+        let read = |id, op| store_aggregate(store, id, from, to, op).map(|(v, _)| v);
+        let mut group =
+            GroupValue { series: 0, missing: 0, sum_of_means: 0.0, total: Aggregate::new() };
+        for &id in ids {
+            let Some(count) = read(id, AggOp::Count) else {
+                group.missing += 1;
+                continue;
+            };
+            group.series += 1;
+            if count > 0.0 {
+                group.sum_of_means += read(id, AggOp::Mean).unwrap();
+                group.total.merge(&Aggregate {
+                    count: count as u64,
+                    sum: read(id, AggOp::Sum).unwrap(),
+                    min: read(id, AggOp::Min).unwrap(),
+                    max: read(id, AggOp::Max).unwrap(),
+                    ..Aggregate::new()
+                });
+            }
         }
-        assert!((group.sum_of_means - expect).abs() < 1e-9);
-        assert_eq!(group.total.count, 6 * 600);
-        assert!((group.mean_of_means() - expect / 6.0).abs() < 1e-9);
+        group_bits(&group)
+    }
+
+    #[test]
+    fn group_folds_the_per_series_reads_bit_for_bit() {
+        let (store, mut ids) = populated_store(6, CHUNK_TEST_LEN);
+        let empty = store.register(SeriesMeta {
+            name: "cab.empty".into(),
+            unit: "kW".into(),
+            interval_hint: 60,
+        });
+        ids.insert(2, empty);
+        ids.insert(4, SeriesId(4242)); // unknown id is reported, not fatal
+        let end = i64::from(CHUNK_TEST_LEN) * 60;
+        let hours = end / 3600 * 3600;
+        for (from, to, plan) in [
+            (0, hours, Plan::HourRollup),
+            (3600, hours - 3600, Plan::HourRollup),
+            (60, end - 60, Plan::MinuteRollup),
+            (30, end - 30, Plan::RawScan),
+            (i64::MIN, i64::MAX, Plan::RawScan),
+        ] {
+            assert_eq!(store_aggregate(&store, ids[0], from, to, AggOp::Mean).unwrap().1, plan);
+            let group = fanout_group(&store, &ids, from, to);
+            assert_eq!((group.series, group.missing), (7, 1));
+            assert!(group.total.count > 0);
+            assert_eq!(group.mean_of_means(), group.sum_of_means / 7.0);
+            let want = per_series_group(&store, &ids, from, to);
+            assert_eq!(group_bits(&group), want, "[{from}, {to})");
+        }
+        // A window past the data: every series resolves, none contributes.
+        let group = fanout_group(&store, &ids, 2 * end, 3 * end);
+        assert_eq!(group_bits(&group), per_series_group(&store, &ids, 2 * end, 3 * end));
+        assert_eq!((group.series, group.sum_of_means, group.total.count), (7, 0.0, 0));
+        assert!(fanout_group(&store, &[], 0, end).mean_of_means().is_nan());
     }
 
     #[test]
@@ -995,6 +970,24 @@ mod tests {
         let stats = store.query_stats();
         assert_eq!(stats.chunks_decoded, expected, "each window scans each chunk exactly once");
         assert_eq!(stats.chunk_cache_hits, 0);
+    }
+
+    #[test]
+    fn windows_and_gaps_at_the_ends_of_the_i64_range_answer() {
+        // Regression: the window end `start + step` and the range width
+        // `to - from` overflowed here: a panic with overflow checks on,
+        // and an endless window loop without them.
+        let (store, id) = store_with(300, |i| f64::from(i % 7));
+        let near_max =
+            store_windows(&store, id, i64::MAX - 10, i64::MAX, 100, AggOp::Mean).unwrap();
+        assert_eq!(near_max.len(), 1);
+        assert_eq!((near_max[0].start, near_max[0].count), (i64::MAX - 10, 0));
+        assert!(near_max[0].value.is_nan());
+        let full = store_windows(&store, id, i64::MIN, i64::MAX, i64::MAX, AggOp::Count).unwrap();
+        let windows: Vec<(i64, u64)> = full.iter().map(|w| (w.start, w.count)).collect();
+        assert_eq!(windows, [(i64::MIN, 0), (-1, 300), (i64::MAX - 1, 0)]);
+        let gap = crate::quality::store_gap_aggregate(&store, id, i64::MIN, i64::MAX).unwrap();
+        assert_eq!((gap.agg.count, gap.expected), (300, u64::MAX.div_ceil(60)));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Telemetry at per-node scale: a simulated month of power samples for the
 //! full 5,860-node ARCHER2 fleet, ingested concurrently into `hpc-tsdb`
 //! by four writer threads appending straight into its sharded store, then
-//! queried back — sequentially and through the parallel fan-out engine,
-//! cold-cache and warm.
+//! queried back series by series, cold-cache and warm, and as one group
+//! reduction.
 //!
 //! Reports what the paper's measurement chapter cares about operationally:
 //! how fast the store ingests, how many bytes a compressed sample costs
 //! (the cabinet PDUs quantize to watts, which the XOR codec exploits), that
-//! rollup-planned queries agree with raw scans, and what the fan-out layer
-//! buys on multi-series readbacks. Query-phase numbers land in
+//! rollup-planned queries agree with raw scans, and what the decoded-chunk
+//! cache buys on multi-series readbacks. Query-phase numbers land in
 //! `BENCH_tsdb_query.json`.
 //!
 //! ```text
@@ -23,8 +23,8 @@ use archer2_repro::core::experiment;
 use archer2_repro::prelude::*;
 use archer2_repro::sim::rng::{Rng, Xoshiro256StarStar};
 use archer2_repro::tsdb::{
-    fanout_aggregate, fanout_group, fanout_workers, recover, store_aggregate, store_windows,
-    AggOp, SeriesId, SeriesMeta, StoreConfig, TsdbStore, WalConfig, WalWriter,
+    fanout_group, recover, store_aggregate, store_windows, AggOp, SeriesId, SeriesMeta,
+    StoreConfig, TsdbStore, WalConfig, WalWriter,
 };
 use archer2_repro::workload::OperatingPoint;
 use serde::{Serialize, Value};
@@ -174,7 +174,7 @@ fn main() {
         cstore.total_samples(),
         cstore.total_bytes() as f64 / cstore.total_samples() as f64,
     );
-    // Readbacks through the cached fan-out engine: facility mean and the
+    // Readbacks through the cached query engine: facility mean and the
     // grouped all-cabinets reduction.
     let (week_mean, _) = campaign.facility_window_kw(start, end).unwrap();
     println!(
@@ -184,7 +184,7 @@ fn main() {
     );
     let group = campaign.cabinets_window_kw(start, end);
     println!(
-        "cabinet fan-out:   {} cabinets sum to {:.0} kW (facility is noisy ±1%)",
+        "cabinet group:     {} cabinets sum to {:.0} kW (facility is noisy ±1%)",
         group.series, group.sum_of_means,
     );
     assert!((group.sum_of_means - week_mean).abs() / week_mean < 0.05);
@@ -362,48 +362,27 @@ fn persist_benchmark(store: &TsdbStore, ids: &[SeriesId], campaign: &Campaign, s
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Sequential-vs-fan-out benchmark over every node series: month-long P95
-/// (always raw-scan, so the chunk cache is what's under test), cold cache
-/// and warm, plus the grouped facility reduction. Emits
+/// Read-path benchmark over every node series: month-long P95 (always
+/// raw-scan, so the chunk cache is what's under test), cold cache and
+/// warm, plus the grouped facility reduction. Emits
 /// `BENCH_tsdb_query.json`.
 fn query_benchmark(store: &TsdbStore, ids: &[SeriesId], span: i64, smoke: bool) {
-    // The workers the fan-out will *actually* run, not the raw pool size:
-    // recording the pool size here once produced `threads: 64` next to a
-    // single-digit fan-out, and on a single-core host the speedup column
-    // is not a measurement at all.
-    let threads = fanout_workers(ids.len());
-    if threads == 1 {
-        eprintln!(
-            "warning: fan-out comparison running single-threaded \
-             ({} series, 1 worker) — speedup_cold/speedup_warm measure \
-             overhead, not parallelism",
-            ids.len()
-        );
-    }
+    let p95_pass = || -> Vec<f64> {
+        ids.iter().map(|&id| store_aggregate(store, id, 0, span, AggOp::P95).unwrap().0).collect()
+    };
 
-    // Sequential baseline, cold cache.
+    // Cold cache.
     store.chunk_cache().clear();
     store.reset_query_stats();
     let t = Instant::now();
-    let sequential: Vec<f64> = ids
-        .iter()
-        .map(|&id| store_aggregate(store, id, 0, span, AggOp::P95).unwrap().0)
-        .collect();
+    let cold = p95_pass();
     let seq_ms = t.elapsed().as_secs_f64() * 1e3;
-    let seq_stats = store.query_stats();
-
-    // Fan-out, cold cache.
-    store.chunk_cache().clear();
-    store.reset_query_stats();
-    let t = Instant::now();
-    let cold: Vec<_> = fanout_aggregate(store, ids, 0, span, AggOp::P95);
-    let cold_ms = t.elapsed().as_secs_f64() * 1e3;
     let cold_stats = store.query_stats();
 
-    // Fan-out again, cache warm from the cold pass.
+    // The same loop again, cache warm from the cold pass.
     store.reset_query_stats();
     let t = Instant::now();
-    let warm: Vec<_> = fanout_aggregate(store, ids, 0, span, AggOp::P95);
+    let warm = p95_pass();
     let warm_ms = t.elapsed().as_secs_f64() * 1e3;
     let warm_stats = store.query_stats();
 
@@ -413,35 +392,29 @@ fn query_benchmark(store: &TsdbStore, ids: &[SeriesId], span: i64, smoke: bool) 
     let group = fanout_group(store, ids, 0, span);
     let group_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    // Fan-out must answer exactly what the sequential loop answered.
-    for (s, f) in sequential.iter().zip(cold.iter().chain(warm.iter())) {
-        let f = f.unwrap().0;
-        assert!(
-            (s - f).abs() <= 1e-9 * s.abs().max(1.0),
-            "fan-out {f} diverged from sequential {s}"
-        );
+    // A cache hit must answer exactly what the decode answered.
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(c.to_bits(), w.to_bits(), "warm P95 {w} diverged from cold {c}");
     }
     assert_eq!(group.series, ids.len());
-    let speedup = seq_ms / cold_ms;
-    let warm_speedup = seq_ms / warm_ms;
-    println!("sequential (cold cache):  {seq_ms:>9.1} ms  ({} chunks decoded)", seq_stats.chunks_decoded);
-    println!("fan-out    (cold cache):  {cold_ms:>9.1} ms  ({speedup:.1}x, {threads} threads)");
     println!(
-        "fan-out    (warm cache):  {warm_ms:>9.1} ms  ({warm_speedup:.1}x, hit rate {:.0}%)",
+        "P95 per series (cold cache): {seq_ms:>9.1} ms  ({} chunks decoded)",
+        cold_stats.chunks_decoded
+    );
+    println!(
+        "P95 per series (warm cache): {warm_ms:>9.1} ms  (hit rate {:.0}%)",
         warm_stats.cache_hit_rate() * 100.0
     );
-    println!("fan-out group reduction:  {group_ms:>9.1} ms  (sum of means {:.0} W)", group.sum_of_means);
+    println!(
+        "group reduction:             {group_ms:>9.1} ms  (sum of means {:.0} W)",
+        group.sum_of_means
+    );
 
     assert!(
         warm_stats.cache_hit_rate() > 0.5,
         "warm pass should be served from cache, hit rate {:.2}",
         warm_stats.cache_hit_rate()
     );
-    // The parallel win only shows where there are cores to win with; CI
-    // boxes can be single-core, so gate the hard floor on the pool size.
-    if threads >= 8 {
-        assert!(speedup >= 4.0, "expected ≥4x fan-out speedup on {threads} threads, got {speedup:.1}x");
-    }
 
     // --- Columnar + zone-map phase: compact, then raw-plan aggregates ----
     //
@@ -527,13 +500,9 @@ fn query_benchmark(store: &TsdbStore, ids: &[SeriesId], span: i64, smoke: bool) 
         ("smoke".into(), smoke.to_value()),
         ("series".into(), (ids.len() as u64).to_value()),
         ("span_s".into(), (span as u64).to_value()),
-        ("threads".into(), (threads as u64).to_value()),
         ("sequential_ms".into(), seq_ms.to_value()),
-        ("fanout_cold_ms".into(), cold_ms.to_value()),
-        ("fanout_warm_ms".into(), warm_ms.to_value()),
+        ("warm_ms".into(), warm_ms.to_value()),
         ("group_ms".into(), group_ms.to_value()),
-        ("speedup_cold".into(), speedup.to_value()),
-        ("speedup_warm".into(), warm_speedup.to_value()),
         ("warm_cache_hit_rate".into(), warm_stats.cache_hit_rate().to_value()),
         ("chunks_decoded_cold".into(), cold_stats.chunks_decoded.to_value()),
         ("chunk_cache_hits_warm".into(), warm_stats.chunk_cache_hits.to_value()),
@@ -551,8 +520,7 @@ fn query_benchmark(store: &TsdbStore, ids: &[SeriesId], span: i64, smoke: bool) 
         record,
         &[
             "sequential_ms",
-            "fanout_cold_ms",
-            "fanout_warm_ms",
+            "warm_ms",
             "warm_cache_hit_rate",
             "speedup_columnar",
             "warm_columnar_p95_us",

@@ -15,6 +15,11 @@ cargo build --release --offline --workspace
 echo "== cargo test -q =="
 cargo test -q --offline --workspace
 
+echo "== cargo test -q --release (the profile the examples and the benchmark build) =="
+# The test profile keeps debug assertions on; a release-only miscompile
+# passes it, so the same tests run once more as release builds.
+cargo test -q --offline --release --workspace
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -54,7 +59,7 @@ fi
 rm -f BENCH_tsdb_query.json BENCH_tsdb_persist.json
 cargo run --release --offline --example telemetry_at_scale -- --smoke
 test -s BENCH_tsdb_query.json
-for key in sequential_ms fanout_cold_ms fanout_warm_ms warm_cache_hit_rate \
+for key in sequential_ms warm_ms warm_cache_hit_rate \
            speedup_columnar warm_columnar_p95_us blocks_pruned; do
     grep -q "\"$key\"" BENCH_tsdb_query.json \
         || { echo "BENCH_tsdb_query.json missing key: $key" >&2; exit 1; }

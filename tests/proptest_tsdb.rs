@@ -5,9 +5,9 @@
 //! chunk scans on any aligned window.
 
 use archer2_repro::tsdb::{
-    fanout_aggregate, fanout_group, store_aggregate, store_gap_aggregate, store_windows,
-    AggOp, Aggregate, Plan, SampleFate, SanitizeConfig, Sanitizer, Series, SeriesId,
-    SeriesMeta, TsdbStore,
+    fanout_group, store_aggregate, store_gap_aggregate, store_windows, AggOp, Aggregate,
+    GroupValue, Plan, SampleFate, SanitizeConfig, Sanitizer, Series, SeriesId, SeriesMeta,
+    TsdbStore,
 };
 use proptest::prelude::*;
 
@@ -36,6 +36,47 @@ fn planned(store: &TsdbStore, id: SeriesId, from: i64, to: i64) -> (Aggregate, P
 /// through the chunk cache and zone maps, never a rollup bucket.
 fn raw(store: &TsdbStore, id: SeriesId, from: i64, to: i64) -> Aggregate {
     store_gap_aggregate(store, id, from, to).unwrap().agg
+}
+
+/// `(series, missing)`, the bits of `sum_of_means`, and the count and the
+/// sum, min and max bits of `total`.
+type GroupBits = ((usize, usize), u64, (u64, u64, u64, u64));
+
+fn group_bits(g: &GroupValue) -> GroupBits {
+    let t = &g.total;
+    (
+        (g.series, g.missing),
+        g.sum_of_means.to_bits(),
+        (t.count, t.sum.to_bits(), t.min.to_bits(), t.max.to_bits()),
+    )
+}
+
+/// What `fanout_group` must answer, folded in input order from the
+/// per-series `store_aggregate` reads: the non-empty series' `Mean`
+/// answers summed, and their `Count`, `Sum`, `Min` and `Max` answers
+/// folded as `Aggregate::merge` folds them.
+fn per_series_group(store: &TsdbStore, ids: &[SeriesId], from: i64, to: i64) -> GroupBits {
+    let read = |id, op| store_aggregate(store, id, from, to, op).map(|(v, _)| v);
+    let mut group =
+        GroupValue { series: 0, missing: 0, sum_of_means: 0.0, total: Aggregate::new() };
+    for &id in ids {
+        let Some(count) = read(id, AggOp::Count) else {
+            group.missing += 1;
+            continue;
+        };
+        group.series += 1;
+        if count > 0.0 {
+            group.sum_of_means += read(id, AggOp::Mean).unwrap();
+            group.total.merge(&Aggregate {
+                count: count as u64,
+                sum: read(id, AggOp::Sum).unwrap(),
+                min: read(id, AggOp::Min).unwrap(),
+                max: read(id, AggOp::Max).unwrap(),
+                ..Aggregate::new()
+            });
+        }
+    }
+    group_bits(&group)
 }
 
 /// Any `f64` bit pattern, with the codec's edge cases oversampled.
@@ -176,12 +217,14 @@ proptest! {
         ),
         a in 0i64..30_000,
         b in 0i64..30_000,
+        grid in prop_oneof![Just(1i64), Just(60), Just(3600)],
     ) {
-        // The parallel fan-out path must answer exactly what a sequential
-        // loop over store_aggregate answers, plan included, for both
-        // rollup-served and raw-scan (P95) operators.
+        // `fanout_group` answers, bit for bit, the input-order fold of a
+        // loop over `store_aggregate`, on windows the rollups serve (snapped
+        // to the minute or hour grid) and on raw-planned ones, with an
+        // empty series and an unknown id in the list.
         let store = TsdbStore::default();
-        let ids: Vec<_> = (0..per_series.len())
+        let mut ids: Vec<_> = (0..=per_series.len())
             .map(|i| {
                 store.register(SeriesMeta {
                     name: format!("s{i}"),
@@ -190,28 +233,16 @@ proptest! {
                 })
             })
             .collect();
-        for (&id, vals) in ids.iter().zip(&per_series) {
+        for (&id, vals) in ids[1..].iter().zip(&per_series) {
             for (i, &v) in vals.iter().enumerate() {
                 store.append(id, i as i64 * 60, v);
             }
         }
-        let (from, to) = (a.min(b), a.max(b));
-        for op in [AggOp::Mean, AggOp::Sum, AggOp::P95] {
-            let fan = fanout_aggregate(&store, &ids, from, to, op);
-            prop_assert_eq!(fan.len(), ids.len());
-            for (&id, f) in ids.iter().zip(&fan) {
-                let (sv, sp) = store_aggregate(&store, id, from, to, op).unwrap();
-                let (fv, fp) = f.unwrap();
-                prop_assert_eq!(sp, fp, "plan diverged for {:?}", op);
-                prop_assert!(
-                    sv.to_bits() == fv.to_bits() || (sv.is_nan() && fv.is_nan()),
-                    "fan-out {} vs sequential {} for {:?}",
-                    fv,
-                    sv,
-                    op
-                );
-            }
-        }
+        ids.insert(ids.len() / 2, SeriesId(u64::MAX));
+        let (from, to) = (a.min(b) / grid * grid, a.max(b) / grid * grid);
+        let group = fanout_group(&store, &ids, from, to);
+        prop_assert_eq!((group.series, group.missing), (per_series.len() + 1, 1));
+        prop_assert_eq!(group_bits(&group), per_series_group(&store, &ids, from, to));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use archer2_repro::core::campaign::{Campaign, CampaignConfig};
 use archer2_repro::core::experiment::scaled_facility;
 use archer2_repro::prelude::*;
 use archer2_repro::telemetry::{ChangePoint, SegmentSummary};
-use archer2_repro::tsdb::{fanout_aggregate, fanout_group, store_aggregate, AggOp};
+use archer2_repro::tsdb::{fanout_group, store_aggregate, AggOp, Aggregate};
 use archer2_repro::workload::{GeneratorConfig, OperatingPoint};
 
 const SCALE: u32 = 10;
@@ -75,26 +75,26 @@ fn cabinet_series_sum_to_facility_series_inside_the_store() {
         "cabinet mean sum {cab_mean} kW vs facility mean {fac_mean} kW"
     );
 
-    // The parallel fan-out answers the same cabinet means the sequential
-    // planner loop above produced, within 1e-9 relative.
+    // The group reduction folds the per-cabinet reads in input order, bit
+    // for bit: their means summed as above, and their count, sum, min and
+    // max merged as `Aggregate::merge` merges them.
     let ids = c.cabinet_series_ids();
-    let fanned = fanout_aggregate(store, ids, from, to, AggOp::Mean);
-    for (&sid, f) in ids.iter().zip(&fanned) {
-        let seq = mean(sid);
-        let fan = f.unwrap().0;
-        assert!(
-            (fan - seq).abs() <= 1e-9 * seq.abs().max(1.0),
-            "fan-out {fan} vs sequential {seq}"
-        );
-    }
     let group = fanout_group(store, ids, from, to);
-    assert_eq!(group.series, ids.len());
-    assert_eq!(group.missing, 0);
-    assert!(
-        (group.sum_of_means - cab_mean).abs() <= 1e-9 * cab_mean,
-        "grouped sum {} vs sequential sum {cab_mean}",
-        group.sum_of_means
-    );
+    assert_eq!((group.series, group.missing), (ids.len(), 0));
+    assert_eq!(group.sum_of_means.to_bits(), cab_mean.to_bits());
+    let read = |sid, op| store_aggregate(store, sid, from, to, op).unwrap().0;
+    let mut total = Aggregate::new();
+    for &sid in ids {
+        total.merge(&Aggregate {
+            count: read(sid, AggOp::Count) as u64,
+            sum: read(sid, AggOp::Sum),
+            min: read(sid, AggOp::Min),
+            max: read(sid, AggOp::Max),
+            ..Aggregate::new()
+        });
+    }
+    let bits = |a: &Aggregate| (a.count, a.sum.to_bits(), a.min.to_bits(), a.max.to_bits());
+    assert_eq!(bits(&group.total), bits(&total));
     // Query instrumentation saw all of the above store-level traffic.
     let stats = store.query_stats();
     assert!(stats.queries >= 2 * ids.len() as u64, "stats: {stats:?}");
