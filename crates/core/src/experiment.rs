@@ -9,11 +9,13 @@
 //! reported kilowatts are multiplied back up — the composition, not the
 //! absolute node count, is what fixes the means.
 
-use crate::campaign::{CampaignConfig, FrequencyPolicy};
+use crate::campaign::{CampaignConfig, FrequencyPolicy, OperatingSchedule};
 use crate::facility::Archer2Facility;
 use crate::report::{ratio, Table};
 use crate::scenarios::{run_scenarios, ScenarioSpec};
-use hpc_emissions::{EmbodiedEmissions, OperatingChoice, RegimeAnalysis};
+use hpc_emissions::{
+    CostModel, EmbodiedEmissions, OperatingChoice, RegimeAnalysis, Scope2Accountant,
+};
 use hpc_power::{DeterminismMode, FreqSetting};
 use hpc_telemetry::{ChangePoint, SegmentSummary, TimeSeries};
 use hpc_topo::{DragonflyConfig, FacilityConfig, HardwareSummary};
@@ -450,6 +452,14 @@ pub struct ConclusionsResult {
     pub idle_fraction: f64,
     /// Switch power band (paper: 200–250 W irrespective of load).
     pub switch_band_w: (f64, f64),
+    /// Energy the total saving avoids per year (GWh) — §5's "significant
+    /// savings in both scope 2 emissions and energy costs".
+    pub energy_gwh_per_year: f64,
+    /// Scope-2 emissions it avoids per year at UK-2022 intensity (tCO₂e).
+    pub scope2_t_per_year: f64,
+    /// Electricity cost it avoids per year (million GBP) at the winter-2022
+    /// UK non-domestic rate (~£0.30/kWh).
+    pub cost_mgbp_per_year: f64,
 }
 
 /// Compute the conclusions from already-run figure experiments.
@@ -475,16 +485,25 @@ pub fn conclusions(seed: u64, fig2: &FigureResult, fig3: &FigureResult) -> Concl
         .total_w();
     let sw = hpc_power::SwitchPowerModel::new(hpc_power::SwitchSpec::default());
 
+    let total_saving_kw = baseline_kw - after_freq_kw;
+    let acc = Scope2Accountant::new(hpc_grid::IntensityScenario::UkGrid2022);
     ConclusionsResult {
         baseline_kw,
         after_bios_kw,
         after_freq_kw,
-        total_saving_kw: baseline_kw - after_freq_kw,
-        total_drop: (baseline_kw - after_freq_kw) / baseline_kw,
+        total_saving_kw,
+        total_drop: total_saving_kw / baseline_kw,
         bios_drop: (baseline_kw - after_bios_kw) / baseline_kw,
         freq_drop_kw: after_bios_kw - after_freq_kw,
         idle_fraction: idle / loaded,
         switch_band_w: (sw.power_w(0.0), sw.power_w(1.0)),
+        energy_gwh_per_year: total_saving_kw * 8766.0 / 1e6,
+        scope2_t_per_year: acc.emissions_constant_t(
+            total_saving_kw,
+            SimTime::from_ymd(2023, 1, 1),
+            SimDuration::from_days(365),
+        ),
+        cost_mgbp_per_year: CostModel::archer2(0.30).annual_cost_of_kw(total_saving_kw),
     }
 }
 
@@ -536,6 +555,79 @@ pub fn render_regimes(a: &RegimeAnalysis) -> String {
         a.parity_ci,
         t.render()
     )
+}
+
+// ---------------------------------------------------------------------------
+// §2 applied hour by hour
+// ---------------------------------------------------------------------------
+
+/// Outcome of a month of grid-aware operation vs the static alternatives.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridAwareResult {
+    /// Mean compute-cabinet power, static 2.25+turbo (kW, full facility).
+    pub static_fast_kw: f64,
+    /// Mean power, static 2.0 GHz default.
+    pub static_slow_kw: f64,
+    /// Mean power, grid-aware switching.
+    pub grid_aware_kw: f64,
+    /// Scope-2 emissions for the month under each policy (tCO₂e), same
+    /// order as the power fields.
+    pub scope2_t: [f64; 3],
+    /// Fraction of hours the grid-aware policy spent shed.
+    pub shed_fraction: f64,
+    /// The grid-aware policy.
+    pub schedule: OperatingSchedule,
+}
+
+/// December 2022 under three policies: always-fast, always-capped, and the
+/// §2 decision rule applied hourly (shed when CI > threshold).
+pub fn grid_aware_december(seed: u64, scale: u32) -> GridAwareResult {
+    let start = SimTime::from_ymd(2022, 12, 1);
+    let end = SimTime::from_ymd(2023, 1, 1);
+    let scenario = hpc_grid::IntensityScenario::UkGrid2022;
+    let schedule = OperatingSchedule {
+        scenario,
+        high_ci_threshold: 230.0,
+        normal: OperatingPoint::AFTER_BIOS,
+        shed: OperatingPoint::AFTER_FREQ,
+        tick: SimDuration::from_hours(1),
+    };
+    let mk = |label: &str, sched: Option<OperatingSchedule>, op: OperatingPoint| {
+        let mut cfg = campaign_config(seed, scale);
+        cfg.schedule = sched;
+        ScenarioSpec::new(label, cfg, scale, start, end, op)
+    };
+    let specs = [
+        mk("static 2.25+turbo", None, OperatingPoint::AFTER_BIOS),
+        mk("static 2.0 GHz", None, OperatingPoint::AFTER_FREQ),
+        mk("grid-aware", Some(schedule), OperatingPoint::AFTER_BIOS),
+    ];
+    let results = run_scenarios(&specs, |_, c| {
+        let k = 5860.0 / c.facility().nodes() as f64;
+        let power = c.power_series();
+        let acc = Scope2Accountant::new(scenario);
+        // Integrate the (scaled) series against the hourly CI signal.
+        (power.mean() * k, acc.emissions_t(&scale_series(&power, k)))
+    });
+    let (static_fast_kw, e_fast) = results[0];
+    let (static_slow_kw, e_slow) = results[1];
+    let (grid_aware_kw, e_aware) = results[2];
+
+    // Shed fraction: the policy ticks at which the schedule picks its
+    // shed point.
+    let ticks: Vec<SimTime> = std::iter::successors(Some(start), |&t| Some(t + schedule.tick))
+        .take_while(|&t| t < end)
+        .collect();
+    let shed_ticks = ticks.iter().filter(|&&t| schedule.at(t) == schedule.shed).count();
+
+    GridAwareResult {
+        static_fast_kw,
+        static_slow_kw,
+        grid_aware_kw,
+        scope2_t: [e_fast, e_slow, e_aware],
+        shed_fraction: shed_ticks as f64 / ticks.len() as f64,
+        schedule,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -750,6 +842,10 @@ mod tests {
         assert!((c.freq_drop_kw - 480.0).abs() < 60.0, "freq saving {}", c.freq_drop_kw);
         assert!((c.idle_fraction - 0.5).abs() < 0.06, "idle fraction {}", c.idle_fraction);
         assert!(c.switch_band_w.0 >= 200.0 && c.switch_band_w.1 <= 250.0);
+        // ~690 kW → ~6 GWh/yr → ~1.2 ktCO₂e/yr at UK-2022 CI → ~£1.8M/yr.
+        assert!((5.0..=7.5).contains(&c.energy_gwh_per_year), "energy {}", c.energy_gwh_per_year);
+        assert!((1000.0..=1600.0).contains(&c.scope2_t_per_year), "scope2 {}", c.scope2_t_per_year);
+        assert!((1.5..=2.3).contains(&c.cost_mgbp_per_year), "cost {}", c.cost_mgbp_per_year);
     }
 
     #[test]
@@ -761,6 +857,27 @@ mod tests {
         assert_ne!(last.best_choice, "2.25 GHz+turbo (perf. det.)");
         let rendered = render_regimes(&a);
         assert!(rendered.contains("parity"));
+    }
+
+    #[test]
+    fn grid_aware_december_splits_the_difference() {
+        let r = grid_aware_december(SEED, SCALE);
+        assert!(
+            r.grid_aware_kw < r.static_fast_kw && r.grid_aware_kw > r.static_slow_kw,
+            "{} in ({}, {})",
+            r.grid_aware_kw,
+            r.static_slow_kw,
+            r.static_fast_kw
+        );
+        // Emissions: grid-aware beats always-fast.
+        assert!(r.scope2_t[2] < r.scope2_t[0]);
+        // December: the policy sheds a substantial minority of hours.
+        assert!((0.1..=0.8).contains(&r.shed_fraction), "shed {}", r.shed_fraction);
+        // Per-kW emissions advantage: the aware policy sheds preferentially
+        // in dirty hours, so its emissions per mean-kW beat always-fast's.
+        let per_kw_fast = r.scope2_t[0] / r.static_fast_kw;
+        let per_kw_aware = r.scope2_t[2] / r.grid_aware_kw;
+        assert!(per_kw_aware <= per_kw_fast * 1.001);
     }
 
     #[test]
@@ -790,387 +907,5 @@ mod tests {
             // 2.0 GHz always saves energy vs reference (the paper's result).
             assert!(r.energy[1] < 1.0, "{}: energy {}", r.benchmark, r.energy[1]);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// §5 future-work extensions
-// ---------------------------------------------------------------------------
-
-/// One compiler/library variant of an application (the §5 future-work item
-/// "investigating the impact of compiler and library choices on the energy
-/// efficiency of application benchmarks at different CPU frequencies").
-#[derive(Debug, Clone, PartialEq)]
-pub struct ToolchainRow {
-    /// Benchmark label.
-    pub benchmark: String,
-    /// Variant label.
-    pub variant: &'static str,
-    /// Throughput relative to the baseline variant at the reference
-    /// operating point (>1 = faster build).
-    pub rel_speed_ref: f64,
-    /// Performance ratio at 2.0 GHz vs reference frequency *for this
-    /// variant* (the frequency sensitivity the variant exhibits).
-    pub perf_ratio_20: f64,
-    /// Energy-to-solution at 2.0 GHz relative to this variant at reference.
-    pub energy_ratio_20: f64,
-    /// Energy per work unit at 2.0 GHz relative to the *baseline variant at
-    /// reference* — the figure of merit for picking compiler × frequency.
-    pub energy_per_work_20: f64,
-}
-
-/// Sweep compiler/library variants across the frequency change for every
-/// catalog benchmark.
-///
-/// Variants are modelled as profile perturbations:
-/// * **vectorised** — wide-SIMD build: 15 % faster at reference, higher
-///   pipeline activity, a *smaller* compute-bound fraction (the remaining
-///   time is memory stalls), so it loses less at 2.0 GHz;
-/// * **portable** — conservative scalar build: 25 % slower at reference,
-///   lower activity, more compute-bound, so the frequency cap hurts more.
-pub fn toolchain_sweep(seed: u64) -> Vec<ToolchainRow> {
-    let f = Archer2Facility::new(seed);
-    let (nm, lot) = (f.node_model(), f.lottery());
-    let mut rows = Vec::new();
-    for rec in f.catalog().records() {
-        let base = &rec.app;
-        let variants: [(&'static str, f64, hpc_workload::AppModel); 3] = [
-            ("baseline", 1.0, base.clone()),
-            ("vectorised", 1.15, {
-                let mut v = base.clone();
-                v.beta = (v.beta * 0.75).clamp(0.0, 1.0);
-                v.cpu_activity = (v.cpu_activity * 1.2).min(1.2);
-                v
-            }),
-            ("portable", 0.75, {
-                let mut v = base.clone();
-                v.beta = (v.beta * 1.3).clamp(0.0, 1.0);
-                v.cpu_activity = (v.cpu_activity * 0.85).max(0.05);
-                v
-            }),
-        ];
-        for (label, rel_speed_ref, app) in variants {
-            let perf = app.perf_ratio(OperatingPoint::AFTER_FREQ, nm, lot);
-            let energy = app.energy_ratio(OperatingPoint::AFTER_FREQ, nm, lot);
-            // Energy per work unit at 2.0 GHz, normalised to the baseline
-            // variant at the reference point: (power ratio) / (work rate),
-            // where the variant's work rate folds in both its build speedup
-            // and its frequency sensitivity.
-            let p_ref_base = base.node_power_w(OperatingPoint::AFTER_BIOS, nm, lot);
-            let p20 = app.node_power_w(OperatingPoint::AFTER_FREQ, nm, lot);
-            let work_rate = rel_speed_ref * perf;
-            let energy_per_work_20 = (p20 / p_ref_base) / work_rate;
-            rows.push(ToolchainRow {
-                benchmark: rec.benchmark.clone(),
-                variant: label,
-                rel_speed_ref,
-                perf_ratio_20: perf,
-                energy_ratio_20: energy,
-                energy_per_work_20,
-            });
-        }
-    }
-    rows
-}
-
-/// Outcome of replacing part of a modelling workflow with an AI surrogate
-/// (§5 future work: "the impact on energy and emissions efficiency of
-/// replacing parts of modelling applications by AI-based approaches").
-#[derive(Debug, Clone, PartialEq)]
-pub struct AiSurrogateRow {
-    /// Grid carbon intensity (g/kWh).
-    pub ci: f64,
-    /// gCO₂e per science unit, classical numerical workflow.
-    pub classical_g: f64,
-    /// gCO₂e per science unit, surrogate-accelerated workflow.
-    pub surrogate_g: f64,
-    /// Emissions reduction factor.
-    pub reduction: f64,
-}
-
-/// Compare a classical workflow against an AI-surrogate-accelerated one
-/// across the §2 carbon-intensity range.
-///
-/// The surrogate does the same science unit in `1/speedup` of the
-/// node-hours at somewhat higher node power (dense inference keeps the
-/// pipelines and memory system busy). Both energy *and* amortised embodied
-/// emissions per science unit shrink, so the surrogate wins in **every**
-/// regime — embodied-dominated included — which is the §2-framework answer
-/// to the paper's open question.
-pub fn ai_surrogate(seed: u64, speedup: f64) -> Vec<AiSurrogateRow> {
-    assert!(speedup > 1.0, "a surrogate that is not faster is not a surrogate");
-    let f = Archer2Facility::new(seed);
-    let (nm, lot) = (f.node_model(), f.lottery());
-    let classical = hpc_workload::AppModel::generic(hpc_workload::ResearchArea::ClimateOcean);
-    let mut surrogate = classical.clone();
-    surrogate.cpu_activity = (surrogate.cpu_activity * 1.4).min(1.1);
-    surrogate.mem_intensity = (surrogate.mem_intensity * 1.2).min(1.0);
-
-    let p_classical = classical.node_power_w(OperatingPoint::AFTER_BIOS, nm, lot) / 1000.0;
-    let p_surrogate = surrogate.node_power_w(OperatingPoint::AFTER_BIOS, nm, lot) / 1000.0;
-    let embodied = EmbodiedEmissions::archer2_scale();
-    let rate = embodied.rate_g_per_node_hour();
-
-    (0..=6)
-        .map(|i| {
-            let ci = 50.0 * i as f64;
-            // Science unit = 1 classical node-hour of output.
-            let classical_g = p_classical * ci + rate;
-            let surrogate_g = (p_surrogate * ci + rate) / speedup;
-            AiSurrogateRow {
-                ci,
-                classical_g,
-                surrogate_g,
-                reduction: classical_g / surrogate_g,
-            }
-        })
-        .collect()
-}
-
-/// Annualised savings implied by the campaign's power reduction — §5's
-/// "significant savings in both scope 2 emissions and energy costs".
-#[derive(Debug, Clone, PartialEq)]
-pub struct SavingsResult {
-    /// Power saved (kW).
-    pub saved_kw: f64,
-    /// Energy saved per year (GWh).
-    pub energy_gwh_per_year: f64,
-    /// Scope-2 emissions avoided per year at UK-2022 intensity (tCO₂e).
-    pub scope2_t_per_year: f64,
-    /// Electricity cost avoided per year (million GBP) at the winter-2022
-    /// UK non-domestic rate (~£0.30/kWh).
-    pub cost_mgbp_per_year: f64,
-}
-
-/// Convert the measured power saving into annualised energy, emissions and
-/// cost savings.
-pub fn annualised_savings(fig2: &FigureResult, fig3: &FigureResult) -> SavingsResult {
-    let saved_kw = fig2.settled_means_kw[0] - fig3.settled_means_kw[1];
-    let kwh_per_year = saved_kw * 8766.0;
-    let acc = hpc_emissions::Scope2Accountant::new(hpc_grid::IntensityScenario::UkGrid2022);
-    let scope2_t_per_year = acc.emissions_constant_t(
-        saved_kw,
-        SimTime::from_ymd(2023, 1, 1),
-        SimDuration::from_days(365),
-    );
-    SavingsResult {
-        saved_kw,
-        energy_gwh_per_year: kwh_per_year / 1e6,
-        scope2_t_per_year,
-        cost_mgbp_per_year: kwh_per_year * 0.30 / 1e6,
-    }
-}
-
-#[cfg(test)]
-mod extension_tests {
-    use super::*;
-
-    const SEED: u64 = 2022;
-
-    #[test]
-    fn vectorised_builds_are_less_frequency_sensitive() {
-        let rows = toolchain_sweep(SEED);
-        assert_eq!(rows.len(), 8 * 3);
-        for chunk in rows.chunks(3) {
-            let base = &chunk[0];
-            let vec = &chunk[1];
-            let portable = &chunk[2];
-            assert_eq!(base.variant, "baseline");
-            // The vectorised build loses less performance at 2.0 GHz…
-            assert!(
-                vec.perf_ratio_20 >= base.perf_ratio_20 - 1e-9,
-                "{}: vectorised perf {} vs base {}",
-                base.benchmark,
-                vec.perf_ratio_20,
-                base.perf_ratio_20
-            );
-            // …and the portable build loses more.
-            assert!(portable.perf_ratio_20 <= base.perf_ratio_20 + 1e-9);
-            // Energy per unit of science at 2.0 GHz: vectorised wins.
-            assert!(vec.energy_per_work_20 < base.energy_per_work_20);
-            assert!(portable.energy_per_work_20 > base.energy_per_work_20);
-        }
-    }
-
-    #[test]
-    fn surrogate_wins_in_every_regime() {
-        let rows = ai_surrogate(SEED, 8.0);
-        for r in &rows {
-            assert!(
-                r.surrogate_g < r.classical_g,
-                "CI {}: surrogate {} vs classical {}",
-                r.ci,
-                r.surrogate_g,
-                r.classical_g
-            );
-            assert!(r.reduction > 4.0, "CI {}: reduction only {}", r.ci, r.reduction);
-        }
-        // The reduction factor grows slightly with CI (the surrogate's power
-        // premium is amortised better when electricity is dirtier… or at
-        // least never shrinks below the node-hour speedup divided by the
-        // power premium).
-        assert!(rows.last().unwrap().reduction >= rows[0].reduction * 0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a surrogate")]
-    fn surrogate_must_be_faster() {
-        let _ = ai_surrogate(SEED, 0.5);
-    }
-
-    #[test]
-    fn annualised_savings_match_paper_magnitudes() {
-        let fig2 = figure2(SEED, 10);
-        let fig3 = figure3(SEED, 10);
-        let s = annualised_savings(&fig2, &fig3);
-        // ~690 kW → ~6 GWh/yr → ~1.2 ktCO₂e/yr at UK-2022 CI → ~£1.8M/yr.
-        assert!((600.0..=800.0).contains(&s.saved_kw), "saved {}", s.saved_kw);
-        assert!((5.0..=7.5).contains(&s.energy_gwh_per_year), "energy {}", s.energy_gwh_per_year);
-        assert!((1000.0..=1600.0).contains(&s.scope2_t_per_year), "scope2 {}", s.scope2_t_per_year);
-        assert!((1.5..=2.3).contains(&s.cost_mgbp_per_year), "cost {}", s.cost_mgbp_per_year);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Grid-citizen extensions: power capping and grid-aware scheduling
-// ---------------------------------------------------------------------------
-
-/// One row of the power-cap sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CapSweepRow {
-    /// Busy-fleet power cap (kW).
-    pub cap_kw: f64,
-    /// Fleet fractions at `[1.5, 2.0, 2.25+turbo]`.
-    pub fractions: [f64; 3],
-    /// Relative science throughput.
-    pub throughput: f64,
-}
-
-/// Sweep facility power caps and report the throughput-optimal frequency
-/// mix for each — the operator's curtailment menu.
-pub fn power_cap_sweep(seed: u64) -> Vec<CapSweepRow> {
-    let f = Archer2Facility::new(seed);
-    let busy = (f.nodes() as f64 * 0.92) as u32;
-    let planner = hpc_power::PowerCapPlanner::for_fleet(f.node_model(), f.lottery(), busy);
-    planner
-        .sweep(10)
-        .into_iter()
-        .map(|p| CapSweepRow {
-            cap_kw: p.power_kw,
-            fractions: p.fractions,
-            throughput: p.throughput,
-        })
-        .collect()
-}
-
-/// Outcome of a month of grid-aware operation vs the static alternatives.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridAwareResult {
-    /// Mean compute-cabinet power, static 2.25+turbo (kW, full facility).
-    pub static_fast_kw: f64,
-    /// Mean power, static 2.0 GHz default.
-    pub static_slow_kw: f64,
-    /// Mean power, grid-aware switching.
-    pub grid_aware_kw: f64,
-    /// Scope-2 emissions for the month under each policy (tCO₂e), same
-    /// order as the power fields.
-    pub scope2_t: [f64; 3],
-    /// Fraction of hours the grid-aware policy spent shed.
-    pub shed_fraction: f64,
-}
-
-/// December 2022 under three policies: always-fast, always-capped, and the
-/// §2 decision rule applied hourly (shed when CI > threshold).
-pub fn grid_aware_december(seed: u64, scale: u32) -> GridAwareResult {
-    use crate::campaign::OperatingSchedule;
-    let start = SimTime::from_ymd(2022, 12, 1);
-    let end = SimTime::from_ymd(2023, 1, 1);
-    let scenario = hpc_grid::IntensityScenario::UkGrid2022;
-    let threshold = 230.0;
-
-    let schedule = OperatingSchedule {
-        scenario,
-        high_ci_threshold: threshold,
-        normal: OperatingPoint::AFTER_BIOS,
-        shed: OperatingPoint::AFTER_FREQ,
-        tick: SimDuration::from_hours(1),
-    };
-    let mk = |label: &str, sched: Option<OperatingSchedule>, op: OperatingPoint| {
-        let mut cfg = campaign_config(seed, scale);
-        cfg.schedule = sched;
-        ScenarioSpec::new(label, cfg, scale, start, end, op)
-    };
-    let specs = [
-        mk("static 2.25+turbo", None, OperatingPoint::AFTER_BIOS),
-        mk("static 2.0 GHz", None, OperatingPoint::AFTER_FREQ),
-        mk("grid-aware", Some(schedule), OperatingPoint::AFTER_BIOS),
-    ];
-    let results = run_scenarios(&specs, |_, c| {
-        let k = 5860.0 / c.facility().nodes() as f64;
-        let power = c.power_series();
-        let acc = hpc_emissions::Scope2Accountant::new(scenario);
-        // Integrate the (scaled) series against the hourly CI signal.
-        (power.mean() * k, acc.emissions_t(&scale_series(&power, k)))
-    });
-    let (static_fast_kw, e_fast) = results[0];
-    let (static_slow_kw, e_slow) = results[1];
-    let (grid_aware_kw, e_aware) = results[2];
-
-    // Shed fraction from the deterministic signal.
-    let mut shed_hours = 0u32;
-    let mut total_hours = 0u32;
-    let mut t = start;
-    while t < end {
-        if scenario.expected(t) > threshold {
-            shed_hours += 1;
-        }
-        total_hours += 1;
-        t += SimDuration::from_hours(1);
-    }
-
-    GridAwareResult {
-        static_fast_kw,
-        static_slow_kw,
-        grid_aware_kw,
-        scope2_t: [e_fast, e_slow, e_aware],
-        shed_fraction: shed_hours as f64 / total_hours as f64,
-    }
-}
-
-#[cfg(test)]
-mod grid_extension_tests {
-    use super::*;
-
-    #[test]
-    fn cap_sweep_is_a_menu() {
-        let rows = power_cap_sweep(2022);
-        assert_eq!(rows.len(), 11);
-        // Throughput monotone in cap; turbo share rises with cap.
-        for w in rows.windows(2) {
-            assert!(w[1].throughput >= w[0].throughput - 1e-12);
-        }
-        assert!(rows[0].fractions[0] > 0.99, "floor: all 1.5 GHz");
-        assert!(rows.last().unwrap().fractions[2] > 0.99, "uncapped: all turbo");
-    }
-
-    #[test]
-    fn grid_aware_december_splits_the_difference() {
-        let r = grid_aware_december(2022, 10);
-        assert!(
-            r.grid_aware_kw < r.static_fast_kw && r.grid_aware_kw > r.static_slow_kw,
-            "{} in ({}, {})",
-            r.grid_aware_kw,
-            r.static_slow_kw,
-            r.static_fast_kw
-        );
-        // Emissions: grid-aware beats always-fast.
-        assert!(r.scope2_t[2] < r.scope2_t[0]);
-        // December: the policy sheds a substantial minority of hours.
-        assert!((0.1..=0.8).contains(&r.shed_fraction), "shed {}", r.shed_fraction);
-        // Per-kW emissions advantage: the aware policy sheds preferentially
-        // in dirty hours, so its emissions per mean-kW beat always-fast's.
-        let per_kw_fast = r.scope2_t[0] / r.static_fast_kw;
-        let per_kw_aware = r.scope2_t[2] / r.grid_aware_kw;
-        assert!(per_kw_aware <= per_kw_fast * 1.001);
     }
 }

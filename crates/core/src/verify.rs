@@ -2,10 +2,11 @@
 //!
 //! [`run`] executes every check that `EXPERIMENTS.md` documents — each
 //! table, each figure, the §2 and §5 claims — and returns a typed report a
-//! downstream user can print, archive or assert on. The integration test
-//! suite and the `verify_reproduction` example are both thin wrappers over
-//! this module, so "does the repo still reproduce the paper?" is a single
-//! function call.
+//! downstream user can print, archive or assert on. The
+//! `verify_reproduction` example is a thin wrapper over this module (and
+//! `scripts/verify.sh` runs it), so "does the repo still reproduce the
+//! paper?" is a single function call. `tests/reproduction.rs` asserts its
+//! own thresholds on the same experiments; it does not call [`run`].
 
 use crate::experiment;
 use serde::{Deserialize, Serialize};
@@ -54,6 +55,16 @@ impl Check {
             absolute: true,
             pass,
         }
+    }
+
+    /// Passes iff `lo < measured < hi`. The band's midpoint stands in
+    /// `paper` and its half-width in `tolerance`, so the row renders as
+    /// `mid ±half`.
+    fn strictly_inside(artefact: &str, quantity: &str, lo: f64, hi: f64, measured: f64) -> Check {
+        let (mid, half) = ((lo + hi) / 2.0, (hi - lo) / 2.0);
+        let mut c = Check::absolute(artefact, quantity, mid, measured, half);
+        c.pass = lo < measured && measured < hi;
+        c
     }
 }
 
@@ -118,6 +129,9 @@ pub fn run(seed: u64, scale: u32) -> VerificationReport {
     checks.push(Check::absolute("Table 1", "compute nodes", 5860.0, t1.compute_nodes as f64, 0.0));
     checks.push(Check::absolute("Table 1", "compute cores", 750_080.0, t1.compute_cores as f64, 0.0));
     checks.push(Check::absolute("Table 1", "Slingshot switches", 768.0, t1.slingshot_switches as f64, 0.0));
+    checks.push(Check::absolute("Table 1", "compute cabinets", 23.0, t1.cabinets as f64, 0.0));
+    checks.push(Check::absolute("Table 1", "CDUs", 6.0, t1.cdus as f64, 0.0));
+    checks.push(Check::absolute("Table 1", "file systems", 5.0, t1.filesystems as f64, 0.0));
 
     // Table 2.
     let t2 = experiment::table2(seed);
@@ -165,10 +179,24 @@ pub fn run(seed: u64, scale: u32) -> VerificationReport {
     checks.push(Check::absolute("Section 5", "BIOS reduction", 0.065, c.bios_drop, 0.015));
     checks.push(Check::absolute("Section 5", "frequency saving (kW)", 480.0, c.freq_drop_kw, 60.0));
     checks.push(Check::absolute("Section 5", "idle/loaded node fraction", 0.50, c.idle_fraction, 0.06));
+    // The paper's 200–250 W band, as its midpoint ± half-width.
+    checks.push(Check::absolute("Section 5", "switch power, idle (W)", 225.0, c.switch_band_w.0, 25.0));
+    checks.push(Check::absolute("Section 5", "switch power, full load (W)", 225.0, c.switch_band_w.1, 25.0));
 
     // §2 regimes.
     let regimes = experiment::emissions_regimes(seed);
     checks.push(Check::absolute("Section 2", "scope2=scope3 parity (g/kWh)", 65.0, regimes.parity_ci, 35.0));
+
+    // §2's rule applied hour by hour through December 2022. Mean power is
+    // placed on the segment from static 2.0 GHz (0) to static turbo (1),
+    // and scope 2 taken relative to static turbo's.
+    let g = experiment::grid_aware_december(seed, scale);
+    let between = (g.grid_aware_kw - g.static_slow_kw) / (g.static_fast_kw - g.static_slow_kw);
+    let scope2 = g.scope2_t[2] / g.scope2_t[0];
+    let artefact = "Section 2 grid-aware";
+    checks.push(Check::strictly_inside(artefact, "mean power, 2.0 GHz (0) to turbo (1)", 0.0, 1.0, between));
+    checks.push(Check::strictly_inside(artefact, "scope 2 / static turbo scope 2", 0.0, 1.0, scope2));
+    checks.push(Check::absolute(artefact, "fraction of hours shed", 0.45, g.shed_fraction, 0.35));
 
     VerificationReport { seed, scale, checks }
 }
@@ -187,7 +215,18 @@ mod tests {
         );
         // The contract covers all paper artefacts.
         assert!(report.checks.len() >= 30, "{} checks", report.checks.len());
-        for artefact in ["Table 1", "Table 2", "Table 3", "Table 4", "Figure 1", "Figure 2", "Figure 3", "Section 2", "Section 5"] {
+        for artefact in [
+            "Table 1",
+            "Table 2",
+            "Table 3",
+            "Table 4",
+            "Figure 1",
+            "Figure 2",
+            "Figure 3",
+            "Section 2",
+            "Section 2 grid-aware",
+            "Section 5",
+        ] {
             assert!(
                 report.checks.iter().any(|c| c.artefact == artefact),
                 "no checks for {artefact}"
@@ -214,6 +253,11 @@ mod tests {
         assert!(!c.pass);
         let c = Check::absolute("x", "y", 0.5, 0.505, 0.01);
         assert!(c.pass);
+        let c = Check::strictly_inside("x", "y", 0.0, 1.0, 0.4);
+        assert!(c.pass);
+        assert_eq!((c.paper, c.tolerance), (0.5, 0.5));
+        assert!(!Check::strictly_inside("x", "y", 0.0, 1.0, 1.0).pass, "the band is open");
+        assert!(!Check::strictly_inside("x", "y", 0.0, 1.0, 0.0).pass, "the band is open");
     }
 
     #[test]

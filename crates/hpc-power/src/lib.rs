@@ -42,7 +42,6 @@
 pub mod cooling;
 pub mod infra;
 pub mod node;
-pub mod pcap;
 pub mod pstate;
 pub mod silicon;
 pub mod socket;
@@ -51,7 +50,6 @@ pub mod switch;
 pub use cooling::{CoolingPlant, CoolingPower};
 pub use infra::{CabinetOverheadModel, CduModel, FilesystemModel};
 pub use node::{NodeActivity, NodePowerBreakdown, NodePowerModel, NodeSpec};
-pub use pcap::{CapPlan, PowerCapPlanner};
 pub use pstate::{FreqSetting, PState, VoltageCurve};
 pub use silicon::{SiliconLottery, SiliconSample};
 pub use socket::{DeterminismMode, SocketPowerModel, SocketSpec};

@@ -18,7 +18,9 @@
 //! re-executing — the dashboard thundering herd costs one execution. A
 //! follower whose wait expires, or whose leader declined to share (error
 //! replies are never cached), simply executes for itself: coalescing is an
-//! optimisation, never a correctness dependency. Caches are per-tenant by
+//! optimisation, never a correctness dependency. A leader that unwinds
+//! instead of finishing releases its flight the same way (see [`Leader`]),
+//! so a panicking query never leaves its key pending. Caches are per-tenant by
 //! construction, so a reply can never cross tenants — a tenant only ever
 //! sees entries its own (identically-budgeted) queries created.
 
@@ -90,16 +92,53 @@ struct CacheInner {
 }
 
 /// What a cache lookup decided for this request.
-pub(crate) enum Lookup {
+pub(crate) enum Lookup<'a> {
     /// A finished reply at the current generation: serve it, execute
     /// nothing, estimate nothing.
     Hit(Arc<CachedReply>),
     /// An identical query is executing right now: wait on its flight.
     Join(Arc<Flight>),
-    /// This caller leads: execute, then [`ResultCache::complete`].
-    Lead(Arc<Flight>),
+    /// This caller leads: execute, then [`Leader::complete`].
+    Lead(Leader<'a>),
     /// Cache disabled or full: execute without caching.
     Bypass,
+}
+
+/// The leader's hold on a pending flight. [`Leader::complete`] hands its
+/// reply over; dropping the leader uncompleted — its execution unwound —
+/// completes it with `None`, so waiting followers execute for themselves
+/// at once instead of sitting out [`FLIGHT_WAIT`], and the next lookup of
+/// the key leads instead of joining a flight nobody will finish.
+pub(crate) struct Leader<'a> {
+    cache: &'a ResultCache,
+    generation: u64,
+    key: &'a str,
+    flight: Arc<Flight>,
+    reply: Option<Arc<CachedReply>>,
+}
+
+impl Leader<'_> {
+    /// Hand `reply` to waiting followers, and cache it only while the
+    /// generation it was computed at is still current (otherwise the entry
+    /// was already cleared — let it go). `None` un-publishes the pending
+    /// slot: error replies are shared with nobody and cached nowhere.
+    pub(crate) fn complete(mut self, reply: Option<Arc<CachedReply>>) {
+        self.reply = reply;
+    }
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        let reply = self.reply.take();
+        self.flight.publish(reply.clone());
+        let mut inner = self.cache.inner.lock();
+        if inner.generation == self.generation {
+            match reply {
+                Some(r) => inner.entries.insert(self.key.to_string(), Slot::Done(r)),
+                None => inner.entries.remove(self.key),
+            };
+        }
+    }
 }
 
 /// The per-tenant cache. All state behind one mutex held only for map
@@ -119,7 +158,7 @@ impl ResultCache {
 
     /// Look `key` up at `generation`. The first lookup after a generation
     /// bump clears every entry (they were computed against retired data).
-    pub(crate) fn begin(&self, generation: u64, key: &str) -> Lookup {
+    pub(crate) fn begin<'a>(&'a self, generation: u64, key: &'a str) -> Lookup<'a> {
         if self.capacity == 0 {
             return Lookup::Bypass;
         }
@@ -137,30 +176,8 @@ impl ResultCache {
                 }
                 let flight = Arc::new(Flight::new());
                 inner.entries.insert(key.to_string(), Slot::Pending(Arc::clone(&flight)));
-                Lookup::Lead(flight)
+                Lookup::Lead(Leader { cache: self, generation, key, flight, reply: None })
             }
-        }
-    }
-
-    /// Leader completion: hand `reply` to waiting followers, and persist
-    /// it only while the generation it was computed at is still current
-    /// (otherwise the entry was already cleared — let it go). `None`
-    /// un-publishes the pending slot: error replies are shared with
-    /// nobody and cached nowhere.
-    pub(crate) fn complete(
-        &self,
-        generation: u64,
-        key: &str,
-        flight: &Flight,
-        reply: Option<Arc<CachedReply>>,
-    ) {
-        flight.publish(reply.clone());
-        let mut inner = self.inner.lock();
-        if inner.generation == generation {
-            match reply {
-                Some(r) => inner.entries.insert(key.to_string(), Slot::Done(r)),
-                None => inner.entries.remove(key),
-            };
         }
     }
 }
@@ -168,37 +185,46 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Instant;
 
     fn reply(tag: u64) -> Arc<CachedReply> {
         Arc::new(CachedReply { bytes: Arc::new(vec![tag as u8]) })
     }
 
+    fn lead<'a>(cache: &'a ResultCache, generation: u64, key: &'a str) -> Leader<'a> {
+        match cache.begin(generation, key) {
+            Lookup::Lead(leader) => leader,
+            _ => panic!("{key:?} at generation {generation} must lead"),
+        }
+    }
+
+    fn join(cache: &ResultCache, generation: u64, key: &str) -> Arc<Flight> {
+        match cache.begin(generation, key) {
+            Lookup::Join(flight) => flight,
+            _ => panic!("{key:?} at generation {generation} must join a pending flight"),
+        }
+    }
+
     #[test]
     fn hit_after_lead_and_complete() {
         let cache = ResultCache::new(8);
-        let flight = match cache.begin(1, "q") {
-            Lookup::Lead(f) => f,
-            _ => panic!("first lookup must lead"),
-        };
+        let leader = lead(&cache, 1, "q");
         // A concurrent identical request joins the pending flight.
-        assert!(matches!(cache.begin(1, "q"), Lookup::Join(_)));
-        cache.complete(1, "q", &flight, Some(reply(7)));
+        let follower = join(&cache, 1, "q");
+        leader.complete(Some(reply(7)));
         match cache.begin(1, "q") {
             Lookup::Hit(r) => assert_eq!(*r.bytes, vec![7u8]),
             _ => panic!("completed entry must hit"),
         }
         // The flight now answers followers instantly.
-        assert!(flight.wait(Duration::from_millis(1)).is_some());
+        assert!(follower.wait(Duration::from_millis(1)).is_some());
     }
 
     #[test]
     fn generation_bump_clears_everything() {
         let cache = ResultCache::new(8);
-        let flight = match cache.begin(1, "q") {
-            Lookup::Lead(f) => f,
-            _ => panic!(),
-        };
-        cache.complete(1, "q", &flight, Some(reply(1)));
+        lead(&cache, 1, "q").complete(Some(reply(1)));
         assert!(matches!(cache.begin(1, "q"), Lookup::Hit(_)));
         // New generation: the entry is gone, the caller leads again.
         assert!(matches!(cache.begin(2, "q"), Lookup::Lead(_)));
@@ -207,28 +233,49 @@ mod tests {
     #[test]
     fn stale_completion_is_not_persisted() {
         let cache = ResultCache::new(8);
-        let flight = match cache.begin(1, "q") {
-            Lookup::Lead(f) => f,
-            _ => panic!(),
-        };
+        let leader = lead(&cache, 1, "q");
+        let follower = join(&cache, 1, "q");
         // The store moved on while the leader executed…
         assert!(matches!(cache.begin(2, "other"), Lookup::Lead(_)));
-        cache.complete(1, "q", &flight, Some(reply(1)));
+        leader.complete(Some(reply(1)));
         // …followers still got the reply, but nothing was cached under
         // the retired generation.
-        assert!(flight.wait(Duration::from_millis(1)).is_some());
+        assert!(follower.wait(Duration::from_millis(1)).is_some());
         assert!(matches!(cache.begin(2, "q"), Lookup::Lead(_)));
     }
 
     #[test]
     fn error_replies_are_shared_with_nobody() {
         let cache = ResultCache::new(8);
-        let flight = match cache.begin(1, "q") {
-            Lookup::Lead(f) => f,
-            _ => panic!(),
-        };
-        cache.complete(1, "q", &flight, None);
-        assert!(flight.wait(Duration::from_millis(1)).is_none());
+        let leader = lead(&cache, 1, "q");
+        let follower = join(&cache, 1, "q");
+        leader.complete(None);
+        assert!(follower.wait(Duration::from_millis(1)).is_none());
+        assert!(matches!(cache.begin(1, "q"), Lookup::Lead(_)));
+    }
+
+    #[test]
+    fn an_unwinding_leader_releases_its_flight() {
+        let cache = ResultCache::new(8);
+        std::thread::scope(|scope| {
+            let leader = lead(&cache, 1, "q");
+            let follower = join(&cache, 1, "q");
+            let waiter = scope.spawn(move || {
+                let started = Instant::now();
+                (follower.wait(FLIGHT_WAIT), started.elapsed())
+            });
+            let unwound = catch_unwind(AssertUnwindSafe(move || {
+                let _leader = leader;
+                panic!("the leader's query panicked");
+            }));
+            assert!(unwound.is_err());
+            // The follower is released at once, with nothing to share, and
+            // executes for itself instead of sitting out FLIGHT_WAIT.
+            let (shared, waited) = waiter.join().unwrap();
+            assert!(shared.is_none(), "an unwound leader has no reply");
+            assert!(waited < FLIGHT_WAIT / 2, "the follower waited {waited:?}");
+        });
+        // Nothing is left pending: the next identical request leads.
         assert!(matches!(cache.begin(1, "q"), Lookup::Lead(_)));
     }
 
@@ -238,12 +285,9 @@ mod tests {
         assert!(matches!(cache.begin(1, "q"), Lookup::Bypass));
 
         let cache = ResultCache::new(1);
-        let flight = match cache.begin(1, "a") {
-            Lookup::Lead(f) => f,
-            _ => panic!(),
-        };
+        let leader = lead(&cache, 1, "a");
         assert!(matches!(cache.begin(1, "b"), Lookup::Bypass));
-        cache.complete(1, "a", &flight, Some(reply(1)));
+        leader.complete(Some(reply(1)));
         assert!(matches!(cache.begin(1, "a"), Lookup::Hit(_)));
     }
 }

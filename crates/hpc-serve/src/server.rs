@@ -464,7 +464,9 @@ fn handle_conn(inner: &Inner, mut stream: TcpStream) {
         };
 
     let tenant = inner.tenant(&tenant_name);
-    if !inner.global.try_open_session() {
+    // Both session slots are guards: a session thread that unwinds returns
+    // them as surely as one that returns.
+    let Some(_global_session) = inner.global.try_open_session() else {
         inner.global.sessions_rejected.fetch_add(1, Ordering::Relaxed);
         let _ = send_message(
             &mut stream,
@@ -475,9 +477,8 @@ fn handle_conn(inner: &Inner, mut stream: TcpStream) {
             ),
         );
         return;
-    }
-    if !tenant.try_open_session() {
-        inner.global.close_session();
+    };
+    let Some(_tenant_session) = tenant.try_open_session() else {
         inner.global.sessions_rejected.fetch_add(1, Ordering::Relaxed);
         let _ = send_message(
             &mut stream,
@@ -488,12 +489,9 @@ fn handle_conn(inner: &Inner, mut stream: TcpStream) {
             ),
         );
         return;
-    }
+    };
 
     serve_session(inner, &tenant, &mut stream);
-
-    tenant.close_session();
-    inner.global.close_session();
 }
 
 /// The post-handshake request loop. Returns when the peer closes, a
@@ -555,32 +553,29 @@ fn dispatch(inner: &Inner, tenant: &TenantState, request: Request) -> Reply {
 }
 
 /// Take both in-flight slots, run the query (or the whole batch — a batch
-/// frame occupies exactly one slot), release in reverse order.
+/// frame occupies exactly one slot), release in reverse order as the
+/// guards drop, on return or on unwind.
 fn admit_and_run(inner: &Inner, tenant: &TenantState, query: Request) -> Reply {
-    if !inner.global.try_begin_query() {
+    let Some(_global_query) = inner.global.try_begin_query() else {
         tenant.record_rejected(Reject::InFlight);
         return Reply::Msg(Response::retryable_error(
             ErrorKind::Overloaded,
             "server in-flight query limit reached",
             inner.admission.retry_after_ms,
         ));
-    }
-    if !tenant.try_begin_query() {
-        inner.global.end_query();
+    };
+    let Some(_tenant_query) = tenant.try_begin_query() else {
         tenant.record_rejected(Reject::InFlight);
         return Reply::Msg(Response::retryable_error(
             ErrorKind::Overloaded,
             "tenant in-flight query limit reached",
             inner.admission.retry_after_ms,
         ));
-    }
-    let reply = match query {
+    };
+    match query {
         Request::Batch { entries } => run_batch(inner, tenant, entries),
         query => run_query(inner, tenant, query),
-    };
-    tenant.end_query();
-    inner.global.end_query();
-    reply
+    }
 }
 
 /// Run one admitted batch. The frame as a whole was admitted under one
@@ -757,7 +752,8 @@ fn run_query(inner: &Inner, tenant: &TenantState, query: Request) -> Reply {
         // JSON); if one does, serve it uncached.
         return execute_measured(inner, tenant, &resolved, query, started).0;
     };
-    match tenant.cache.begin(generation, &key) {
+    let lookup = tenant.cache.begin(generation, &key);
+    match lookup {
         Lookup::Hit(reply) => {
             tenant.record_cache_hit();
             tenant.record_served(elapsed_us(started), &QueryStats::default());
@@ -777,10 +773,12 @@ fn run_query(inner: &Inner, tenant: &TenantState, query: Request) -> Reply {
                 execute_measured(inner, tenant, &resolved, query, started).0
             }
         },
-        Lookup::Lead(flight) => {
+        // If the execution unwinds, dropping the leader completes the
+        // flight with nothing to share.
+        Lookup::Lead(leader) => {
             tenant.record_cache_miss();
             let (reply, shareable) = execute_measured(inner, tenant, &resolved, query, started);
-            tenant.cache.complete(generation, &key, &flight, shareable);
+            leader.complete(shareable);
             reply
         }
         Lookup::Bypass => {

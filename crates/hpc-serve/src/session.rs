@@ -175,22 +175,17 @@ impl TenantState {
         }
     }
 
-    /// Try to open a session; `false` leaves no state to undo.
-    pub(crate) fn try_open_session(&self) -> bool {
+    /// Try to open a session under the tenant's session cap; the session
+    /// holds its slot until the returned guard drops. `None` leaves no
+    /// state to undo.
+    pub(crate) fn try_open_session(&self) -> Option<AdmissionSlot<'_>> {
         bounded_increment(&self.sessions, self.budget.max_sessions)
     }
 
-    pub(crate) fn close_session(&self) {
-        self.sessions.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Try to start a query under the tenant's in-flight cap.
-    pub(crate) fn try_begin_query(&self) -> bool {
+    /// Try to start a query under the tenant's in-flight cap; the query
+    /// holds its slot until the returned guard drops.
+    pub(crate) fn try_begin_query(&self) -> Option<AdmissionSlot<'_>> {
         bounded_increment(&self.in_flight, self.budget.max_in_flight)
-    }
-
-    pub(crate) fn end_query(&self) {
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Check an estimated scan cost against the per-query budget.
@@ -269,15 +264,27 @@ impl TenantState {
     }
 }
 
-/// CAS-increment `counter` only while it is below `cap`; `false` when
+/// One held admission slot: a session or an in-flight query counted
+/// against a cap. Dropping it returns the slot, so a session thread that
+/// unwinds out of a panicking request releases what it held exactly as
+/// one that returns normally.
+pub(crate) struct AdmissionSlot<'a>(&'a AtomicU32);
+
+impl Drop for AdmissionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// CAS-increment `counter` only while it is below `cap`; `None` when
 /// saturated. This is the lock-free "try-acquire" both admission layers
 /// use — there is deliberately no blocking acquire, because backpressure
 /// here means *reject*, not *queue*.
-fn bounded_increment(counter: &AtomicU32, cap: u32) -> bool {
+fn bounded_increment(counter: &AtomicU32, cap: u32) -> Option<AdmissionSlot<'_>> {
     let mut current = counter.load(Ordering::Acquire);
     loop {
         if current >= cap {
-            return false;
+            return None;
         }
         match counter.compare_exchange_weak(
             current,
@@ -285,7 +292,7 @@ fn bounded_increment(counter: &AtomicU32, cap: u32) -> bool {
             Ordering::AcqRel,
             Ordering::Acquire,
         ) {
-            Ok(_) => return true,
+            Ok(_) => return Some(AdmissionSlot(counter)),
             Err(seen) => current = seen,
         }
     }
@@ -311,20 +318,12 @@ impl GlobalAdmission {
         }
     }
 
-    pub(crate) fn try_open_session(&self) -> bool {
+    pub(crate) fn try_open_session(&self) -> Option<AdmissionSlot<'_>> {
         bounded_increment(&self.sessions, self.max_sessions)
     }
 
-    pub(crate) fn close_session(&self) {
-        self.sessions.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    pub(crate) fn try_begin_query(&self) -> bool {
+    pub(crate) fn try_begin_query(&self) -> Option<AdmissionSlot<'_>> {
         bounded_increment(&self.in_flight, self.max_in_flight)
-    }
-
-    pub(crate) fn end_query(&self) {
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 
     pub(crate) fn sessions_active(&self) -> u64 {
@@ -339,11 +338,35 @@ mod tests {
     #[test]
     fn bounded_increment_stops_at_cap() {
         let c = AtomicU32::new(0);
-        assert!(bounded_increment(&c, 2));
-        assert!(bounded_increment(&c, 2));
-        assert!(!bounded_increment(&c, 2));
-        c.fetch_sub(1, Ordering::AcqRel);
-        assert!(bounded_increment(&c, 2));
+        let first = bounded_increment(&c, 2);
+        let second = bounded_increment(&c, 2);
+        assert!(first.is_some() && second.is_some());
+        assert!(bounded_increment(&c, 2).is_none());
+        drop(first);
+        assert_eq!(c.load(Ordering::Acquire), 1, "a dropped slot is returned");
+        assert!(bounded_increment(&c, 2).is_some());
+    }
+
+    #[test]
+    fn unwinding_returns_every_held_slot() {
+        let global = GlobalAdmission::new(&AdmissionConfig::default());
+        let t = TenantState::new("acme".into(), TenantBudget::default(), 8);
+        // A session that panics in the middle of a query, as a session
+        // thread would: both session slots and both in-flight slots held.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _global_session = global.try_open_session().unwrap();
+            let _tenant_session = t.try_open_session().unwrap();
+            let _global_query = global.try_begin_query().unwrap();
+            let _tenant_query = t.try_begin_query().unwrap();
+            assert_eq!(global.sessions_active(), 1);
+            assert_eq!((t.snapshot().sessions, t.snapshot().in_flight), (1, 1));
+            panic!("the query panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(global.sessions_active(), 0);
+        assert_eq!(global.in_flight.load(Ordering::Acquire), 0);
+        let snap = t.snapshot();
+        assert_eq!((snap.sessions, snap.in_flight), (0, 0));
     }
 
     #[test]
@@ -353,13 +376,16 @@ mod tests {
             TenantBudget { max_sessions: 1, max_in_flight: 2, max_samples_per_query: 100 },
             8,
         );
-        assert!(t.try_open_session());
-        assert!(!t.try_open_session(), "session cap is 1");
-        assert!(t.try_begin_query());
-        assert!(t.try_begin_query());
-        assert!(!t.try_begin_query(), "in-flight cap is 2");
-        t.end_query();
-        assert!(t.try_begin_query());
+        let session = t.try_open_session();
+        assert!(session.is_some());
+        assert!(t.try_open_session().is_none(), "session cap is 1");
+        let first = t.try_begin_query();
+        let second = t.try_begin_query();
+        assert!(first.is_some() && second.is_some());
+        assert!(t.try_begin_query().is_none(), "in-flight cap is 2");
+        drop(first);
+        let third = t.try_begin_query();
+        assert!(third.is_some());
 
         assert_eq!(t.check_scan_budget(100), Ok(()));
         let rej = t.check_scan_budget(101).unwrap_err();
@@ -377,7 +403,7 @@ mod tests {
         assert_eq!(snap.query.samples_scanned, 100);
         assert!(snap.p50_us >= 250 && snap.p50_us <= 255, "p50 {}", snap.p50_us);
         assert!(snap.p95_us >= 750, "p95 {}", snap.p95_us);
-        t.close_session();
-        assert!(t.try_open_session());
+        drop(session);
+        assert!(t.try_open_session().is_some());
     }
 }

@@ -99,6 +99,15 @@ fn main() {
         "| Switch power band | 200–250 W | {:.0}–{:.0} W |",
         c.switch_band_w.0, c.switch_band_w.1
     );
+    println!("| Energy saved per year | — | {:.2} GWh |", c.energy_gwh_per_year);
+    println!(
+        "| Scope 2 avoided per year (UK 2022 grid) | significant | {:.0} t |",
+        c.scope2_t_per_year
+    );
+    println!(
+        "| Electricity cost avoided per year (£0.30/kWh) | significant | £{:.2} M |",
+        c.cost_mgbp_per_year
+    );
     println!();
 
     // Section 2.
@@ -108,6 +117,27 @@ fn main() {
     if let Some(ci) = regimes.crossover_to("2.0 GHz") {
         println!("2.0 GHz becomes emissions-optimal above ~{ci:.0} g/kWh; parity at {:.0} g/kWh.\n", regimes.parity_ci);
     }
+
+    let g = experiment::grid_aware_december(seed, scale);
+    println!("## §2 applied hour by hour — grid-aware December 2022\n");
+    println!(
+        "Every hour the policy reads the UK 2022 grid's carbon intensity: above {:.0} g/kWh \
+         it sheds to 2.0 GHz, otherwise it runs 2.25 GHz+turbo. It shed {:.0} % of the \
+         month's hours. Scope 2 weights each run's power series by the same hourly \
+         intensity.\n",
+        g.schedule.high_ci_threshold,
+        g.shed_fraction * 100.0
+    );
+    println!("| Policy | Mean kW | Scope 2 (t) |");
+    println!("|---|---|---|");
+    for (policy, kw, t) in [
+        ("static 2.25 GHz+turbo", g.static_fast_kw, g.scope2_t[0]),
+        ("static 2.0 GHz", g.static_slow_kw, g.scope2_t[1]),
+        ("grid-aware", g.grid_aware_kw, g.scope2_t[2]),
+    ] {
+        println!("| {policy} | {kw:.0} | {t:.0} |");
+    }
+    println!();
 
     // Ablations.
     println!("## Ablations\n");

@@ -2,7 +2,7 @@
 # Offline-safe verification gate for the workspace.
 #
 # Every dependency is either a workspace crate or a vendored shim under
-# shims/ (see DESIGN.md §5), so all three steps must succeed with no
+# shims/ (see DESIGN.md §5), so every step below must succeed with no
 # network access. --offline makes any accidental registry dependency a
 # hard failure instead of a hang.
 
@@ -35,10 +35,18 @@ cargo test -q --offline -p archer2-core --lib fault_campaign_tests
 # The node-failure example runs (not just compiles) through the one fault model.
 cargo run --release --offline --example facility_operations >/dev/null
 
-echo "== every table and figure (regenerate_experiments) =="
+echo "== every table and figure (regenerate_experiments vs EXPERIMENTS.md) =="
 # The one program that prints every table, figure and ablation; it also
-# runs the hpc-tsdb direct ingest path.
-cargo run --release --offline --example regenerate_experiments >/dev/null
+# runs the hpc-tsdb direct ingest path. EXPERIMENTS.md's generated span
+# runs from the `<!-- generated by` marker to the line before the
+# hand-written "### Query engine: cold cache" section, and must match the
+# program's output line for line. The "| Ingest throughput |" row is
+# wall-clock, so it is left out on both sides.
+fresh=$(cargo run --release --offline --example regenerate_experiments)
+span=$(sed -n '/^<!-- generated by/,/^### Query engine: cold cache/p' EXPERIMENTS.md | sed '$d')
+diff <(grep -v '^| Ingest throughput |' <<<"$span") \
+     <(grep -v '^| Ingest throughput |' <<<"$fresh") \
+    || { echo "EXPERIMENTS.md differs from regenerate_experiments (< file, > program)" >&2; exit 1; }
 
 echo "== paper checklist (verify_reproduction) =="
 # Every paper check at seed 2022, 1/10 scale (the settled means and the
