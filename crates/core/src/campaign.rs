@@ -2156,7 +2156,6 @@ mod telemetry_tests {
                 sum: read(sid, AggOp::Sum),
                 min: read(sid, AggOp::Min),
                 max: read(sid, AggOp::Max),
-                ..Aggregate::new()
             });
         }
         assert_eq!(group.sum_of_means.to_bits(), sum_of_means.to_bits());

@@ -5,8 +5,8 @@
 //! downstream user can print, archive or assert on. The
 //! `verify_reproduction` example is a thin wrapper over this module (and
 //! `scripts/verify.sh` runs it), so "does the repo still reproduce the
-//! paper?" is a single function call. `tests/reproduction.rs` asserts its
-//! own thresholds on the same experiments; it does not call [`run`].
+//! paper?" is a single function call, and `tests/reproduction.rs` asserts
+//! that every check of [`run`] passes.
 
 use crate::experiment;
 use serde::{Deserialize, Serialize};
@@ -204,10 +204,17 @@ pub fn run(seed: u64, scale: u32) -> VerificationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The seed-2022, scale-10 report, run once for every test here.
+    fn report() -> &'static VerificationReport {
+        static REPORT: OnceLock<VerificationReport> = OnceLock::new();
+        REPORT.get_or_init(|| run(2022, 10))
+    }
 
     #[test]
     fn default_run_passes_everything() {
-        let report = run(2022, 10);
+        let report = report();
         assert!(
             report.all_pass(),
             "failing checks: {:#?}",
@@ -236,7 +243,7 @@ mod tests {
 
     #[test]
     fn render_is_a_checklist() {
-        let report = run(2022, 10);
+        let report = report();
         let out = report.render();
         assert!(out.contains("checks pass"));
         assert!(out.contains("PASS"));
@@ -262,9 +269,9 @@ mod tests {
 
     #[test]
     fn report_serialises() {
-        let report = run(2022, 20);
-        let json = serde_json::to_string(&report).unwrap();
+        let report = report();
+        let json = serde_json::to_string(report).unwrap();
         let back: VerificationReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(report, back);
+        assert_eq!(*report, back);
     }
 }

@@ -217,6 +217,21 @@ impl Inner {
     }
 }
 
+/// Held by a connection's handler thread. Dropping it, on return or while
+/// a panicking request unwinds, closes the accept loop's clone of the
+/// socket, so the client sees EOF, and queues the thread to be joined.
+struct ConnClosing<'a> {
+    inner: &'a Inner,
+    conn_id: u64,
+}
+
+impl Drop for ConnClosing<'_> {
+    fn drop(&mut self) {
+        self.inner.conns.lock().remove(&self.conn_id);
+        self.inner.finished.lock().push(self.conn_id);
+    }
+}
+
 /// A running query service bound to a local TCP port.
 ///
 /// Dropping the server shuts it down immediately (a zero-deadline
@@ -279,9 +294,8 @@ impl Server {
                     }
                     let inner2 = Arc::clone(&inner);
                     let handle = std::thread::spawn(move || {
+                        let _closing = ConnClosing { inner: &inner2, conn_id };
                         handle_conn(&inner2, stream);
-                        inner2.conns.lock().remove(&conn_id);
-                        inner2.finished.lock().push(conn_id);
                     });
                     inner.handlers.lock().insert(conn_id, handle);
                 }
@@ -885,5 +899,37 @@ fn execute(store: &TsdbStore, ids: &[SeriesId], query: Request) -> Response {
             }
         }
         _ => unreachable!("non-query requests are dispatched before admission"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn a_handler_that_unwinds_closes_its_connection() {
+        let server = Server::start(TsdbStore::default(), ServerConfig::default()).unwrap();
+        let inner = &*server.inner;
+        // A connected pair standing in for an accepted session, with the
+        // accept loop's clone of the socket registered as it registers one.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let conn_id = 7;
+        inner.conns.lock().insert(conn_id, stream.try_clone().unwrap());
+        // The handler thread's body: the guard, then a request that panics
+        // while the handler owns its end of the socket.
+        let unwound = catch_unwind(AssertUnwindSafe(move || {
+            let _closing = ConnClosing { inner, conn_id };
+            let _handler_stream = stream;
+            panic!("the request panicked");
+        }));
+        assert!(unwound.is_err());
+        assert!(!inner.conns.lock().contains_key(&conn_id), "the clone is closed");
+        assert_eq!(inner.finished.lock().as_slice(), [conn_id], "queued to be joined");
+        client.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+        assert_eq!(client.read(&mut [0u8; 1]).unwrap(), 0, "the client reads EOF");
     }
 }

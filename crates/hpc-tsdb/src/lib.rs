@@ -11,8 +11,8 @@
 //!   yields columnar blocks ([`ColumnBlock`]) and compacted chunks carry
 //!   block-level zone maps ([`Zone`]);
 //! - [`rollup`] — mergeable aggregates and the raw → 1-min → 1-h
-//!   downsampling cascade (count/sum/min/max + Welford moments, so means
-//!   re-aggregate exactly);
+//!   downsampling cascade (count/sum/min/max, so means re-aggregate
+//!   exactly as `sum / count`);
 //! - [`series`] — one series: sealed chunks + active chunk + rollups;
 //! - [`store`] — the sharded store (series hashed across shard locks),
 //!   its one write path ([`TsdbStore::try_append_batch`] for one series'

@@ -59,12 +59,15 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HTSDBSN\x01";
 ///   then per-zone time bounds and pre-computed [`Aggregate`]), so
 ///   compacted chunks recover with their pruning structure intact;
 /// - `3` — drops the series total and both rollup sections, which are a
-///   pure function of the samples; recovery rebuilds them.
+///   pure function of the samples; recovery rebuilds them;
+/// - `4` — chunk and zone aggregates drop the Welford mean and `m2`,
+///   keeping count, sum, min and max (32 bytes instead of 48).
 ///
-/// Writers emit only this version. Version-1 and -2 snapshots remain
-/// readable: their totals and rollups are skipped and rebuilt, and
-/// version-1 chunks recover zone-less.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// Writers emit only this version. Version-1 to -3 snapshots remain
+/// readable: their aggregates are read past the two dropped fields, their
+/// totals and rollups are skipped and rebuilt, and version-1 chunks
+/// recover zone-less.
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Oldest snapshot format version this reader still accepts.
 pub const SNAPSHOT_MIN_VERSION: u16 = 1;
@@ -206,8 +209,6 @@ fn put_aggregate(buf: &mut Vec<u8>, a: &Aggregate) {
     put_f64(buf, a.sum);
     put_f64(buf, a.min);
     put_f64(buf, a.max);
-    put_f64(buf, a.mean);
-    put_f64(buf, a.m2);
 }
 
 /// Sequential reader over one block's payload with typed take-ops; every
@@ -267,18 +268,25 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn read_aggregate(c: &mut Cursor<'_>) -> Result<Aggregate, PersistError> {
-    Ok(Aggregate {
+/// Read a chunk or zone aggregate; before version 4 it is followed by the
+/// Welford mean and `m2`, which are read past.
+fn read_aggregate(c: &mut Cursor<'_>, version: u16) -> Result<Aggregate, PersistError> {
+    let agg = Aggregate {
         count: c.u64("agg.count")?,
         sum: c.f64("agg.sum")?,
         min: c.f64("agg.min")?,
         max: c.f64("agg.max")?,
-        mean: c.f64("agg.mean")?,
-        m2: c.f64("agg.m2")?,
-    })
+    };
+    if version < 4 {
+        c.take(16, "agg.mean_m2")?;
+    }
+    Ok(agg)
 }
 
-/// Bytes of a serialised [`Aggregate`]: a `u64` count and five `f64`s.
+/// Bytes of a version-1 to -3 aggregate: a `u64` count and five `f64`s,
+/// the last two the Welford moments version 4 dropped. The sections only
+/// those versions carry (the series total, the rollup buckets) are skipped
+/// at this width.
 const AGGREGATE_BYTES: usize = 48;
 /// Bytes of a serialised rollup bucket: its `i64` start and its aggregate.
 const BUCKET_BYTES: usize = 8 + AGGREGATE_BYTES;
@@ -414,7 +422,7 @@ fn read_series_payload(payload: &[u8], version: u16) -> Result<(SeriesId, Series
                 "chunk of {data_len} bytes cannot hold {len_bits} bits"
             )));
         }
-        let agg = read_aggregate(&mut c)?;
+        let agg = read_aggregate(&mut c, version)?;
         let mut chunk =
             Chunk::from_parts(Bytes::from(data), len_bits, count, first_ts, last_ts, agg);
         if version >= 2 {
@@ -426,7 +434,7 @@ fn read_series_payload(payload: &[u8], version: u16) -> Result<(SeriesId, Series
                 for _ in 0..n_zones {
                     let z_first = c.i64("zone.first_ts")?;
                     let z_last = c.i64("zone.last_ts")?;
-                    let z_agg = read_aggregate(&mut c)?;
+                    let z_agg = read_aggregate(&mut c, version)?;
                     if z_first > z_last || z_first < first_ts || z_last > last_ts {
                         return Err(PersistError::Malformed(format!(
                             "zone [{z_first}, {z_last}] outside chunk [{first_ts}, {last_ts}]"
@@ -606,15 +614,17 @@ mod tests {
         SeriesMeta { name: name.into(), unit: "kW".into(), interval_hint: 60 }
     }
 
+    /// Bytes of an aggregate as the current writer lays it out: a `u64`
+    /// count and the `f64` sum, min and max.
+    const AGGREGATE_V4_BYTES: usize = 32;
+
     /// A series' total, then every minute and hour bucket, sealed and open,
-    /// as `(start, count, bits of sum, min, max, mean, m2)`; the total's
-    /// start is `i64::MIN`.
-    type DerivedBits = Vec<(i64, u64, [u64; 5])>;
+    /// as `(start, count, bits of sum, min, max)`; the total's start is
+    /// `i64::MIN`.
+    type DerivedBits = Vec<(i64, u64, [u64; 3])>;
 
     fn derived_bits(s: &Series) -> DerivedBits {
-        let bits = |start, a: &Aggregate| {
-            (start, a.count, [a.sum, a.min, a.max, a.mean, a.m2].map(f64::to_bits))
-        };
+        let bits = |start, a: &Aggregate| (start, a.count, [a.sum, a.min, a.max].map(f64::to_bits));
         let buckets = [s.minutes(), s.hours()]
             .into_iter()
             .flat_map(|level| level.sealed().iter().chain(level.open()))
@@ -779,27 +789,30 @@ mod tests {
                 assert_eq!((za.first_ts, za.last_ts), (zb.first_ts, zb.last_ts));
                 assert_eq!(za.agg.count, zb.agg.count);
                 assert_eq!(za.agg.sum.to_bits(), zb.agg.sum.to_bits());
-                assert_eq!(za.agg.m2.to_bits(), zb.agg.m2.to_bits());
+                assert_eq!(za.agg.min.to_bits(), zb.agg.min.to_bits());
+                assert_eq!(za.agg.max.to_bits(), zb.agg.max.to_bits());
             }
         }
         assert_eq!(orig_agg.count, rec_agg.count);
         assert_eq!(orig_agg.sum.to_bits(), rec_agg.sum.to_bits());
     }
 
-    /// Version-1, -2 and -3 images of `sample_store()` after `compact()`,
-    /// as the writers of those versions laid them out. Versions 1 and 2
-    /// were written with the versioned writer of commit `ea51218`, the
-    /// last to have one: a test added to that commit's `persist::tests`
-    /// called `store.snapshot_to_versioned(&mut buf, v)` on this store for
-    /// `v` in 1 and 2 and saved each `buf` as
-    /// `tests/data/sample_store_compacted.v{v}.tsnap`. Version 3 was
-    /// written the same way from commit `9db341d`, whose `snapshot_to`
-    /// writes only v3: `store.snapshot_to(&mut buf)`, saved as
-    /// `tests/data/sample_store_compacted.v3.tsnap`. The committed image
-    /// pins v3's layout, so a change made to its writer and reader alike
-    /// still fails here.
+    /// Version-1 to -4 images of `sample_store()` after `compact()`, as the
+    /// writers of those versions laid them out. Versions 1 and 2 were
+    /// written with the versioned writer of commit `ea51218`, the last to
+    /// have one: a test added to that commit's `persist::tests` called
+    /// `store.snapshot_to_versioned(&mut buf, v)` on this store for `v` in
+    /// 1 and 2 and saved each `buf` as
+    /// `tests/data/sample_store_compacted.v{v}.tsnap`. Versions 3 and 4
+    /// were written the same way by writers that emit only their own
+    /// version (v3 from commit `9db341d`, v4 by the writer that
+    /// introduced it): `store.snapshot_to(&mut buf)`, saved as
+    /// `tests/data/sample_store_compacted.v{3,4}.tsnap`. Versions 1 to 3
+    /// carry the Welford mean and `m2` in every aggregate; they are read
+    /// past. The committed v4 image pins the current layout, so a change
+    /// made to its writer and reader alike still fails here.
     #[test]
-    fn version_1_to_3_fixtures_recover_bit_identically() {
+    fn version_1_to_4_fixtures_recover_bit_identically() {
         let store = sample_store();
         store.compact();
         let facility = store.lookup("facility").unwrap();
@@ -807,11 +820,20 @@ mod tests {
             store.with_series(facility, |s| s.chunks()[0].zones().is_some()).unwrap(),
             "the fixtures' store compacts into a zoned chunk"
         );
-        let fixtures: [(u16, &[u8]); 3] = [
+        let fixtures: [(u16, &[u8]); 4] = [
             (1, include_bytes!("../tests/data/sample_store_compacted.v1.tsnap")),
             (2, include_bytes!("../tests/data/sample_store_compacted.v2.tsnap")),
             (3, include_bytes!("../tests/data/sample_store_compacted.v3.tsnap")),
+            (4, include_bytes!("../tests/data/sample_store_compacted.v4.tsnap")),
         ];
+        assert_eq!(
+            fixtures.map(|(v, _)| v).to_vec(),
+            (SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).collect::<Vec<_>>(),
+            "every version the reader accepts has a fixture"
+        );
+        let mut live = Vec::new();
+        store.snapshot_to(&mut live).unwrap();
+        assert_eq!(live, fixtures[3].1, "the current writer writes the v4 image byte for byte");
         for (version, image) in fixtures {
             assert_eq!(u16::from_le_bytes([image[13], image[14]]), version);
             let back = TsdbStore::open_snapshot(&mut &image[..], StoreConfig::default())
@@ -829,17 +851,26 @@ mod tests {
                     back.with_series(rid, derived_bits).unwrap(),
                     "v{version} {name}"
                 );
-                let zones = |st: &TsdbStore, id| {
+                // Chunk aggregates always, zone maps from version 2 on:
+                // count, sum, min and max, bit for bit.
+                let stored = |st: &TsdbStore, id| {
+                    let bits = |a: &Aggregate| (a.count, [a.sum, a.min, a.max].map(f64::to_bits));
                     st.with_series(id, |s| {
-                        s.chunks().iter().map(|c| c.zones().map(<[Zone]>::to_vec)).collect::<Vec<_>>()
+                        let chunk = |c: &Chunk| {
+                            let zones = c.zones().map(|zs| {
+                                zs.iter().map(|z| (z.first_ts, z.last_ts, bits(&z.agg))).collect()
+                            });
+                            (bits(c.aggregate()), zones)
+                        };
+                        s.chunks().iter().map(chunk).collect::<Vec<_>>()
                     })
                     .unwrap()
                 };
-                if version == 1 {
-                    assert!(zones(&back, rid).iter().all(Option::is_none), "v1 carries no zones");
-                } else {
-                    assert_eq!(zones(&back, rid), zones(&store, id), "v{version} {name}");
-                }
+                let want: Vec<_> = stored(&store, id)
+                    .into_iter()
+                    .map(|(agg, zones): (_, Option<Vec<_>>)| (agg, zones.filter(|_| version > 1)))
+                    .collect();
+                assert_eq!(stored(&back, rid), want, "v{version} {name}");
             }
         }
     }
@@ -859,7 +890,9 @@ mod tests {
     }
 
     impl FacilityLayout {
+        /// The layout of `buf`, a snapshot of the current version.
         fn of(buf: &[u8]) -> Self {
+            assert_eq!(u16::from_le_bytes([buf[13], buf[14]]), SNAPSHOT_VERSION);
             // The first series block after the header is "facility", id 0.
             let block = 8 + 5 + u32_at(buf, 9) as usize + 4;
             let payload_end = block + 5 + u32_at(buf, block + 1) as usize;
@@ -872,8 +905,8 @@ mod tests {
             // (32 bytes), the data, the chunk aggregate, a zone count and
             // per zone its bounds (16 bytes) and aggregate.
             let chunk_end = |at: usize| {
-                let zones = Self::aggregate(buf, at) + AGGREGATE_BYTES;
-                zones + 4 + u32_at(buf, zones) as usize * (16 + AGGREGATE_BYTES)
+                let zones = Self::aggregate(buf, at) + AGGREGATE_V4_BYTES;
+                zones + 4 + u32_at(buf, zones) as usize * (16 + AGGREGATE_V4_BYTES)
             };
             let mut chunks = vec![at + 4];
             for _ in 1..n_chunks {
@@ -895,6 +928,36 @@ mod tests {
             evil[self.payload_end..self.payload_end + 4].copy_from_slice(&crc.to_le_bytes());
             TsdbStore::open_snapshot(&mut &evil[..], StoreConfig::default()).err()
         }
+    }
+
+    #[test]
+    fn version_4_roundtrip_lays_out_32_byte_aggregates() {
+        // A compacted store, so the facility series carries chunk and zone
+        // aggregates. With 32-byte aggregates its chunk records end where
+        // the tail count starts, the tail's samples fill the rest of the
+        // payload, and every aggregate reopens bit for bit.
+        let store = sample_store();
+        store.compact();
+        let mut buf = Vec::new();
+        store.snapshot_to(&mut buf).unwrap();
+        let l = FacilityLayout::of(&buf);
+        assert_eq!(l.end + 4 + 16 * u32_at(&buf, l.end) as usize, l.payload_end);
+        let back = TsdbStore::open_snapshot(&mut &buf[..], StoreConfig::default()).unwrap();
+        let aggs = |st: &TsdbStore| {
+            let bits = |a: &Aggregate| (a.count, [a.sum, a.min, a.max].map(f64::to_bits));
+            let id = st.lookup("facility").unwrap();
+            st.with_series(id, |s| {
+                let mut out = Vec::new();
+                for c in s.chunks() {
+                    out.push(bits(c.aggregate()));
+                    out.extend(c.zones().unwrap_or(&[]).iter().map(|z| bits(&z.agg)));
+                }
+                out
+            })
+            .unwrap()
+        };
+        assert_eq!(aggs(&store).len(), 3, "one compacted chunk of two zones");
+        assert_eq!(aggs(&store), aggs(&back));
     }
 
     #[test]
@@ -975,7 +1038,7 @@ mod tests {
         let mut buf = Vec::new();
         store.snapshot_to(&mut buf).unwrap();
         let l = FacilityLayout::of(&buf);
-        let zones = FacilityLayout::aggregate(&buf, l.chunks[0]) + AGGREGATE_BYTES;
+        let zones = FacilityLayout::aggregate(&buf, l.chunks[0]) + AGGREGATE_V4_BYTES;
         assert!(u32_at(&buf, zones) > 0, "compaction left no zones");
         let max = zones + 4 + 16 + 24;
         malformed(l.open_resealed(shifted(&buf, max, 1.0)), "zone");
@@ -994,3 +1057,4 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 }
+

@@ -5,7 +5,7 @@
 //! Planning rule: an aggregation whose window is aligned to a rollup
 //! level's grid is served from that level's buckets — coarsest level
 //! first — because bucket aggregates compose exactly (they carry
-//! count/sum/min/max/m2, not means). Percentiles need the raw
+//! count/sum/min/max, not means). Percentiles need the raw
 //! distribution, so `P95` always plans a raw scan.
 //!
 //! ## Locking discipline (store-level queries)
@@ -104,18 +104,17 @@ fn rollup_window(series: &Series, from: i64, to: i64, plan: Plan) -> Aggregate {
         Plan::RawScan => unreachable!("rollup_window called with a raw plan"),
     };
     let mut agg = Aggregate::new();
-    for b in level.buckets_in(from, to) {
-        agg.merge(&b.agg);
+    agg.merge_all(level.sealed_in(from, to).iter().map(|b| &b.agg));
+    if let Some(open) = level.open_in(from, to) {
+        agg.merge(&open.agg);
     }
     // The hour level receives minute buckets only when they seal, so the
     // minute bucket still filling has not cascaded yet — complete the tail
     // from it. (The minute level itself is fed per raw sample, so it is
     // always complete.)
     if plan == Plan::HourRollup {
-        if let Some(open) = series.minutes().open() {
-            if open.start < to && open.start + series.minutes().resolution() > from {
-                agg.merge(&open.agg);
-            }
+        if let Some(open) = series.minutes().open_in(from, to) {
+            agg.merge(&open.agg);
         }
     }
     agg
@@ -344,7 +343,7 @@ fn raw_snapshot(series: &Series, from: i64, to: i64) -> RawSnapshot {
     RawSnapshot { chunks, active: series.active_samples_in(from, to) }
 }
 
-/// Full-moment aggregate of a snapshot restricted to `[from, to)`. The
+/// Aggregate of a snapshot restricted to `[from, to)`. The
 /// zone-aware fold prunes blocks whose aggregate answers for them; the
 /// remainder decodes to columnar blocks through the store's chunk cache
 /// and aggregates as tight loops over binary-searched value slices.
@@ -605,7 +604,7 @@ pub struct GroupValue {
     /// Sum of the per-series window means, skipping empty series. For
     /// cabinet power this is the facility draw in the window.
     pub sum_of_means: f64,
-    /// Full-moment aggregate over every sample of every resolved series.
+    /// Aggregate over every sample of every resolved series.
     pub total: Aggregate,
 }
 
@@ -863,7 +862,6 @@ mod tests {
                     sum: read(id, AggOp::Sum).unwrap(),
                     min: read(id, AggOp::Min).unwrap(),
                     max: read(id, AggOp::Max).unwrap(),
-                    ..Aggregate::new()
                 });
             }
         }

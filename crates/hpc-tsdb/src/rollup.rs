@@ -1,9 +1,9 @@
 //! Hierarchical downsampling: raw samples cascade into 1-minute buckets,
 //! sealed 1-minute buckets cascade into 1-hour buckets.
 //!
-//! Every bucket carries `count / sum / min / max` plus Welford moments
-//! (`mean`, `m2`), so re-aggregating buckets over a window reproduces the
-//! mean and variance a raw scan would compute — means of means are never
+//! Every bucket carries `count / sum / min / max`, so re-aggregating
+//! buckets over a window reproduces the count, sum, extremes and mean
+//! (`sum / count`) a raw scan would compute — means of means are never
 //! taken.
 
 /// One-minute rollup resolution in seconds.
@@ -11,8 +11,7 @@ pub const MINUTE: i64 = 60;
 /// One-hour rollup resolution in seconds.
 pub const HOUR: i64 = 3600;
 
-/// Mergeable summary of a set of samples (Welford/Chan formulation, the
-/// same moments `sim_core::stats::OnlineStats` carries).
+/// Mergeable summary of a set of samples: their count, sum and extremes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Aggregate {
     /// Number of samples.
@@ -23,10 +22,6 @@ pub struct Aggregate {
     pub min: f64,
     /// Largest sample.
     pub max: f64,
-    /// Running mean (numerically stable).
-    pub mean: f64,
-    /// Sum of squared deviations from the mean.
-    pub m2: f64,
 }
 
 impl Aggregate {
@@ -46,12 +41,9 @@ impl Aggregate {
         }
         self.count += 1;
         self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
     }
 
-    /// Merge another summary (Chan's pairwise update).
+    /// Merge another summary.
     pub fn merge(&mut self, other: &Aggregate) {
         if other.count == 0 {
             return;
@@ -60,12 +52,29 @@ impl Aggregate {
             *self = *other;
             return;
         }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        self.fold_nonempty(other);
+    }
+
+    /// Merge every summary of `others`, in order: the same bits as one
+    /// [`Self::merge`] per summary, in a loop that tests for an empty
+    /// `self` only until it holds a sample.
+    pub fn merge_all<'a>(&mut self, others: impl IntoIterator<Item = &'a Aggregate>) {
+        let mut others = others.into_iter();
+        if self.count == 0 {
+            match others.find(|o| o.count != 0) {
+                Some(first) => *self = *first,
+                None => return,
+            }
+        }
+        for o in others {
+            if o.count != 0 {
+                self.fold_nonempty(o);
+            }
+        }
+    }
+
+    /// The tail of [`Self::merge`] once both sides hold samples.
+    fn fold_nonempty(&mut self, other: &Aggregate) {
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
@@ -78,15 +87,6 @@ impl Aggregate {
             f64::NAN
         } else {
             self.sum / self.count as f64
-        }
-    }
-
-    /// Population variance (0 when fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
         }
     }
 }
@@ -169,20 +169,28 @@ impl RollupLevel {
         sealed
     }
 
-    /// Buckets (sealed and open) intersecting `[from, to)`, in time order.
+    /// Sealed buckets intersecting `[from, to)`, in time order.
     ///
     /// Sealed buckets are aligned and in start order, so the ones that
     /// intersect form one run, found by two binary searches. The second
     /// search runs inside the first's result, so an empty or reversed
     /// window yields exactly what the per-bucket test would: nothing, or
     /// the one bucket that holds both ends.
-    pub fn buckets_in(&self, from: i64, to: i64) -> impl Iterator<Item = &Bucket> {
+    pub fn sealed_in(&self, from: i64, to: i64) -> &[Bucket] {
         let res = self.resolution;
         let lo = self.sealed.partition_point(|b| b.start + res <= from);
         let hi = lo + self.sealed[lo..].partition_point(|b| b.start < to);
-        self.sealed[lo..hi]
-            .iter()
-            .chain(self.open.iter().filter(move |b| b.start < to && b.start + res > from))
+        &self.sealed[lo..hi]
+    }
+
+    /// The open bucket, if it intersects `[from, to)`.
+    pub fn open_in(&self, from: i64, to: i64) -> Option<&Bucket> {
+        self.open.as_ref().filter(|b| b.start < to && b.start + self.resolution > from)
+    }
+
+    /// Buckets (sealed and open) intersecting `[from, to)`, in time order.
+    pub fn buckets_in(&self, from: i64, to: i64) -> impl Iterator<Item = &Bucket> {
+        self.sealed_in(from, to).iter().chain(self.open_in(from, to))
     }
 
     /// Whether `[from, to)` is aligned to this level's bucket grid, so
@@ -198,7 +206,9 @@ mod tests {
 
     #[test]
     fn merge_matches_sequential_push() {
-        let data: Vec<f64> = (0..97).map(|i| f64::from(i) * 1.37 - 20.0).collect();
+        // Multiples of 1/8 sum exactly, so the split fold and the
+        // sequential one agree in every bit whatever their grouping.
+        let data: Vec<f64> = (0..97).map(|i| f64::from(i) * 1.375 - 20.0).collect();
         let mut whole = Aggregate::new();
         for &x in &data {
             whole.push(x);
@@ -212,12 +222,14 @@ mod tests {
             right.push(x);
         }
         left.merge(&right);
-        assert_eq!(left.count, whole.count);
-        assert!((left.sum - whole.sum).abs() < 1e-9);
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-6);
-        assert_eq!(left.min, whole.min);
-        assert_eq!(left.max, whole.max);
+        let bits = |a: &Aggregate| (a.count, [a.sum, a.min, a.max].map(f64::to_bits));
+        assert_eq!(bits(&left), bits(&whole));
+    }
+
+    #[test]
+    fn aggregate_and_bucket_sizes() {
+        assert_eq!(std::mem::size_of::<Aggregate>(), 32);
+        assert_eq!(std::mem::size_of::<Bucket>(), 40);
     }
 
     #[test]

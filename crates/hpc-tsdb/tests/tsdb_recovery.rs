@@ -61,12 +61,11 @@ fn dump(store: &TsdbStore, names: &[String]) -> Dump {
 }
 
 /// Bit-level derived state of one series: the total, then every minute and
-/// hour bucket, sealed and open, as `(start, count, bits of sum, min, max,
-/// mean, m2)`. The total's start is `i64::MIN`.
-fn derived_bits(store: &TsdbStore, name: &str) -> Vec<(i64, u64, [u64; 5])> {
-    let bits = |start, a: &hpc_tsdb::Aggregate| {
-        (start, a.count, [a.sum, a.min, a.max, a.mean, a.m2].map(f64::to_bits))
-    };
+/// hour bucket, sealed and open, as `(start, count, bits of sum, min,
+/// max)`. The total's start is `i64::MIN`.
+fn derived_bits(store: &TsdbStore, name: &str) -> Vec<(i64, u64, [u64; 3])> {
+    let bits =
+        |start, a: &hpc_tsdb::Aggregate| (start, a.count, [a.sum, a.min, a.max].map(f64::to_bits));
     let id = store.lookup(name).expect("series present");
     store
         .with_series(id, |s| {
@@ -141,8 +140,8 @@ fn snapshot_roundtrip_property_over_random_shapes() {
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(dump(&store, &names), dump(&back, &names), "case {case}");
         assert_eq!(store.total_samples(), back.total_samples(), "case {case}");
-        // The total and every rollup bucket (Welford moments included) are
-        // rebuilt to the bit; 1 s cadences put many samples in a minute.
+        // The total and every rollup bucket are rebuilt to the bit; 1 s
+        // cadences put many samples in a minute.
         for name in &names {
             assert_eq!(
                 derived_bits(&store, name),
@@ -187,7 +186,8 @@ fn compacted_stores_recover_with_zone_maps_intact() {
     assert_eq!(back.query_stats().chunks_decoded, 0, "zone-covered read decoded a chunk");
     assert_eq!(a.count, b.count);
     assert_eq!(a.sum.to_bits(), b.sum.to_bits());
-    assert_eq!(a.m2.to_bits(), b.m2.to_bits());
+    assert_eq!(a.min.to_bits(), b.min.to_bits());
+    assert_eq!(a.max.to_bits(), b.max.to_bits());
 
     // Every truncation of the zone-bearing snapshot is still refused.
     for keep in (0..buf.len()).step_by(127) {

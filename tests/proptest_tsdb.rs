@@ -25,7 +25,7 @@ fn minutely_store(vals: &[f64]) -> (TsdbStore, SeriesId) {
     (store, id)
 }
 
-/// The store's full-moment aggregate over `[from, to)` as its planner
+/// The store's aggregate over `[from, to)` as its planner
 /// serves it (rollup buckets when the window is aligned), with the plan.
 fn planned(store: &TsdbStore, id: SeriesId, from: i64, to: i64) -> (Aggregate, Plan) {
     let (_, plan) = store_aggregate(store, id, from, to, AggOp::Mean).unwrap();
@@ -72,11 +72,24 @@ fn per_series_group(store: &TsdbStore, ids: &[SeriesId], from: i64, to: i64) -> 
                 sum: read(id, AggOp::Sum).unwrap(),
                 min: read(id, AggOp::Min).unwrap(),
                 max: read(id, AggOp::Max).unwrap(),
-                ..Aggregate::new()
             });
         }
     }
     group_bits(&group)
+}
+
+/// Multiples of 2^-10 below 5,000 in magnitude, whose sums over up to 2,000
+/// samples are exact, so a fold's grouping cannot move a bit of its sum;
+/// salted with NaN and both infinities. No `-0.0`: `f64::min` and `max`
+/// may return either zero when given both, so which sign a fold keeps
+/// depends on its grouping.
+fn exact_sum_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        12 => (-5_120_000i64..5_120_000).prop_map(|k| k as f64 / 1024.0),
+        1 => Just(f64::NAN),
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NEG_INFINITY),
+    ]
 }
 
 /// Any `f64` bit pattern, with the codec's edge cases oversampled.
@@ -156,30 +169,40 @@ proptest! {
 
     #[test]
     fn rollup_plans_agree_with_raw_scans_on_any_aligned_window(
-        vals in proptest::collection::vec(-5000.0f64..5000.0, 10..2000),
+        vals in proptest::collection::vec(exact_sum_value(), 10..2000),
         a in 0usize..2000,
         b in 0usize..2000,
     ) {
         // Minutely cadence so both rollup levels fill.
         let (store, id) = minutely_store(&vals);
         // Snap an arbitrary index window to hour alignment: the planner
-        // must serve it from rollups, and the answer must match the raw
-        // chunk scan moment for moment.
+        // must serve it from rollups, and its count, sum, min and max must
+        // match the raw chunk scan's bit for bit.
         let span = vals.len() as i64 * 60;
         let from = (a as i64 * 60).min(span) / 3600 * 3600;
         let to = (b as i64 * 60).min(span) / 3600 * 3600;
         let (from, to) = (from.min(to), from.max(to));
         let (planned, plan) = planned(&store, id, from, to);
         prop_assert_eq!(plan, Plan::HourRollup);
-        let raw = raw(&store, id, from, to);
-        prop_assert_eq!(planned.count, raw.count);
-        if raw.count > 0 {
-            prop_assert!((planned.mean() - raw.mean()).abs() < 1e-9);
-            prop_assert!((planned.sum - raw.sum).abs() < 1e-6);
-            prop_assert_eq!(planned.min, raw.min);
-            prop_assert_eq!(planned.max, raw.max);
-            prop_assert!((planned.variance() - raw.variance()).abs() < 1e-6 * raw.variance().max(1.0));
+        prop_assert_eq!(agg_bits(&planned), agg_bits(&raw(&store, id, from, to)));
+    }
+
+    #[test]
+    fn merge_all_matches_sequential_merge(
+        start in arb_aggregate(),
+        run in proptest::collection::vec(arb_aggregate(), 0..40),
+    ) {
+        // The run fold that serves sealed rollup buckets answers what one
+        // `merge` per summary answers, from an empty or a filled start,
+        // over runs holding empty summaries, NaN, both zeros and both
+        // infinities.
+        let mut sequential = start;
+        for a in &run {
+            sequential.merge(a);
         }
+        let mut folded = start;
+        folded.merge_all(&run);
+        prop_assert_eq!(agg_bits(&folded), agg_bits(&sequential));
     }
 
     #[test]
@@ -268,14 +291,35 @@ proptest! {
 }
 
 /// Every field of an [`Aggregate`] as raw bits, so "bit-identical" is a
-/// single equality over NaN-bearing moments too. NaNs canonicalise to one
+/// single equality over NaN-bearing sums too. NaNs canonicalise to one
 /// pattern first: which *payload* survives `a + b` when both inputs carry
 /// NaNs is left to the instruction selector (optimised builds may commute
 /// the operands), so payload bits are the one thing two correct folds may
 /// legitimately disagree on.
-fn agg_bits(a: &Aggregate) -> (u64, u64, u64, u64, u64, u64) {
+fn agg_bits(a: &Aggregate) -> (u64, u64, u64, u64) {
     let canon = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
-    (a.count, canon(a.sum), canon(a.min), canon(a.max), canon(a.mean), canon(a.m2))
+    (a.count, canon(a.sum), canon(a.min), canon(a.max))
+}
+
+/// An empty summary a quarter of the time, else the fold of up to eight
+/// values, NaN, both zeros and both infinities oversampled.
+fn arb_aggregate() -> impl Strategy<Value = Aggregate> {
+    let value = prop_oneof![
+        4 => -5000.0f64..5000.0,
+        1 => Just(f64::NAN),
+        1 => Just(0.0),
+        1 => Just(-0.0),
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NEG_INFINITY),
+    ];
+    prop_oneof![
+        1 => Just(Aggregate::new()),
+        3 => proptest::collection::vec(value, 1..8).prop_map(|vals| {
+            let mut a = Aggregate::new();
+            vals.iter().for_each(|&v| a.push(v));
+            a
+        }),
+    ]
 }
 
 proptest! {

@@ -4,52 +4,18 @@
 //! This is the repository's headline test: if it passes, `EXPERIMENTS.md`
 //! regenerates.
 
-use archer2_repro::core::experiment;
+use archer2_repro::core::{experiment, verify};
 
 const SEED: u64 = 2022;
 const SCALE: u32 = 10;
 
 #[test]
 fn full_paper_reproduction() {
-    // --- Table 1 ----------------------------------------------------------
-    let t1 = experiment::table1();
-    assert_eq!(t1.compute_nodes, 5860);
-    assert_eq!(t1.compute_cores, 750_080);
-    assert_eq!(t1.slingshot_switches, 768);
-    assert_eq!(t1.cabinets, 23);
-    assert_eq!(t1.cdus, 6);
-    assert_eq!(t1.filesystems, 5);
-
-    // --- Table 2 ----------------------------------------------------------
-    let t2 = experiment::table2(SEED);
-    assert!((t2.idle_total_kw - 1800.0).abs() / 1800.0 < 0.05);
-    assert!((t2.loaded_total_kw - 3500.0).abs() / 3500.0 < 0.05);
-
-    // --- Tables 3 and 4 ---------------------------------------------------
-    assert!(experiment::table3(SEED).max_abs_error() < 0.01);
-    assert!(experiment::table4(SEED).max_abs_error() < 0.01);
-
-    // --- Figures 1-3 ------------------------------------------------------
-    let fig1 = experiment::figure1(SEED, SCALE);
-    assert!((fig1.summary.means[0] - 3220.0).abs() / 3220.0 < 0.02);
-    assert!(fig1.utilisation > 0.90);
-
-    let fig2 = experiment::figure2(SEED, SCALE);
-    assert!((fig2.settled_means_kw[0] - 3220.0).abs() / 3220.0 < 0.02);
-    assert!((fig2.settled_means_kw[1] - 3010.0).abs() / 3010.0 < 0.02);
-
-    let fig3 = experiment::figure3(SEED, SCALE);
-    assert!((fig3.settled_means_kw[0] - 3010.0).abs() / 3010.0 < 0.02);
-    assert!((fig3.settled_means_kw[1] - 2530.0).abs() / 2530.0 < 0.02);
-
-    // --- §5 conclusions ---------------------------------------------------
-    let c = experiment::conclusions(SEED, &fig2, &fig3);
-    assert!((c.total_saving_kw - 690.0).abs() < 75.0, "saving {}", c.total_saving_kw);
-    assert!((c.total_drop - 0.21).abs() < 0.025);
-
-    // --- §2 regimes -------------------------------------------------------
-    let regimes = experiment::emissions_regimes(SEED);
-    assert!((30.0..=100.0).contains(&regimes.parity_ci));
+    // Every table, figure and §2/§5 number is a check of `verify::run`,
+    // the contract `verify_reproduction` prints; this test holds the
+    // repository to it.
+    let report = verify::run(SEED, SCALE);
+    assert!(report.all_pass(), "{}", report.render());
 }
 
 #[test]

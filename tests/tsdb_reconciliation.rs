@@ -90,7 +90,6 @@ fn cabinet_series_sum_to_facility_series_inside_the_store() {
             sum: read(sid, AggOp::Sum),
             min: read(sid, AggOp::Min),
             max: read(sid, AggOp::Max),
-            ..Aggregate::new()
         });
     }
     let bits = |a: &Aggregate| (a.count, a.sum.to_bits(), a.min.to_bits(), a.max.to_bits());
